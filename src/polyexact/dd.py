@@ -1,11 +1,21 @@
 """Conversion between the two descriptions of a polyhedron.
 
 The engine is the double description method on homogeneous cones
-{x : a.x <= 0}. Generators are kept as primitive integer tuples, the
-lineality space is carried explicitly, and new rays come only from pairs
-that pass the algebraic adjacency test (rank of the shared active rows
-equals ambient dimension minus lineality dimension minus two), which
-keeps the generator list irredundant at every step.
+{x : a.x <= 0}. Each input row is scaled once to a primitive integer
+row, which leaves the cone unchanged. Generators are carried as
+primitive int tuples: absorbing a row into the lineality space maps
+x -> |s0| x - sign(s0) (a.x) pivot, a positive multiple of sliding x along
+the pivot direction, and a new ray is the combination of an adjacent pair
+divided by its gcd. Entries become Fractions only on return.
+
+The lineality space is carried explicitly and every processed row
+vanishes on it, so the quotient cone is pointed and the kept rays are
+exactly its extreme rays, one each. Adjacency is then decided
+combinatorially (Fukuda & Prodon 1996): with each ray's active rows kept
+as a bitmask, two rays are adjacent iff they share at least
+(dimension - lineality dimension - 2) active rows and no third ray is
+active on all of those shared rows. New rays come only from adjacent
+pairs, which keeps the generator list irredundant at every step.
 
 Polyhedra are handled through homogenization: a point x becomes the ray
 (x, 1), a recession direction r becomes (r, 0), and the extra constraint
@@ -15,9 +25,11 @@ same engine on the polar side, where generators act as inequality rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .errors import CapacityError, InputError
-from .linalg import Vec, dot, integerize, rank, unit_vec, vec
+from .linalg import Vec, integerize, unit_vec, vec
 
 MAX_DIM = 8
 MAX_ROWS = 1024
@@ -33,78 +45,89 @@ def _guard(dim: int, nrows: int) -> None:
         raise CapacityError(f"{nrows} rows exceed the supported limit")
 
 
+def _idot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _primitive(u: tuple[int, ...]) -> tuple[int, ...]:
+    g = gcd(*u)
+    return tuple(x // g for x in u) if g > 1 else u
+
+
 def cone_from_inequalities(rows: list[Vec], dim: int):
     """Generators of {x : a.x <= 0 for every row a}.
 
     Returns (rays, lineality) as tuples of primitive integer direction
-    tuples. Rays are extreme modulo the lineality space.
+    tuples, with Fraction entries. Rays are extreme modulo the lineality
+    space.
     """
     _guard(dim, len(rows))
-    lineality: list[Vec] = [unit_vec(dim, i) for i in range(dim)]
-    rays: list[Vec] = []
-    # activity sets index into `rows`; lineality vanishes on all
-    # processed rows, so only rays need bookkeeping
-    active: dict[int, set[int]] = {}
-    processed: list[int] = []
+    lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    # active[k] is the bitmask of processed rows that vanish on rays[k];
+    # lineality vanishes on all processed rows, so only rays need one
+    active: list[int] = []
+    processed = 0
     for ri, a in enumerate(rows):
         if len(a) != dim:
             raise InputError(f"row has {len(a)} coefficients, expected {dim}")
-        if all(x == 0 for x in a):
+        a = integerize(a)
+        if not any(a):
             continue
-        pivot = next((l for l in lineality if dot(a, l) != 0), None)
+        bit = 1 << ri
+        pivot = next((l for l in lineality if _idot(a, l)), None)
         if pivot is not None:
             # absorb: slide everything along the lineality direction onto
-            # the hyperplane, then keep the feasible half as a new ray
-            s0 = dot(a, pivot)
-            l0 = tuple(-x / s0 for x in pivot)
-            lineality = [
-                tuple(x + dot(a, l) * y for x, y in zip(l, l0))
-                for l in lineality if l is not pivot
-            ]
-            new_rays = []
-            new_active = {}
-            for k, r in enumerate(rays):
-                moved = tuple(x + dot(a, r) * y for x, y in zip(r, l0))
-                new_rays.append(moved)
-                new_active[k] = active[k] | {ri}
+            # the hyperplane, x -> |s0| x - sign(s0) (a.x) pivot, then keep
+            # the feasible half of the pivot as a new ray
+            s0 = _idot(a, pivot)
+            sg = 1 if s0 > 0 else -1
+
+            def slide(x):
+                t = _idot(a, x)
+                if not t:
+                    return x
+                return _primitive(tuple(sg * (s0 * u - t * v) for u, v in zip(x, pivot)))
+
+            lineality = [slide(l) for l in lineality if l is not pivot]
+            rays = [slide(r) for r in rays]
+            active = [z | bit for z in active]
             # the kept half-direction itself is strictly inside the new
             # halfspace, so it is not active at this row
-            l0_key = len(new_rays)
-            new_rays.append(l0)
-            new_active[l0_key] = set(processed)
-            rays = [vec(integerize(r)) for r in new_rays]
-            active = new_active
+            rays.append(tuple(-sg * x for x in pivot))
+            active.append(processed)
         else:
-            dim_eff = dim - len(lineality)
-            signs = [dot(a, r) for r in rays]
+            # processed rows vanish on the lineality, so the quotient cone
+            # is pointed and its extreme rays are exactly `rays`: a pair is
+            # adjacent iff no third ray is active on all rows both share
+            need = dim - len(lineality) - 2
+            signs = [_idot(a, r) for r in rays]
             keep = [k for k, s in enumerate(signs) if s <= 0]
             pos = [k for k, s in enumerate(signs) if s < 0]
             neg = [k for k, s in enumerate(signs) if s > 0]
             new_rays = [rays[k] for k in keep]
-            new_active = {
-                i: (active[k] | {ri} if signs[k] == 0 else active[k])
-                for i, k in enumerate(keep)
-            }
+            new_active = [active[k] | bit if signs[k] == 0 else active[k] for k in keep]
             for p in pos:
+                zp = active[p]
                 for n in neg:
-                    common = active[p] & active[n]
-                    if rank([rows[j] for j in common]) != dim_eff - 2:
+                    common = zp & active[n]
+                    if common.bit_count() < need:
+                        continue
+                    if sum(z & common == common for z in active) > 2:
                         continue
                     w = tuple(
                         signs[n] * xp - signs[p] * xn
                         for xp, xn in zip(rays[p], rays[n])
                     )
-                    i = len(new_rays)
-                    new_rays.append(vec(integerize(w)))
-                    new_active[i] = common | {ri}
+                    new_rays.append(_primitive(w))
+                    new_active.append(common | bit)
                     if len(new_rays) > MAX_LIVE_RAYS:
                         raise CapacityError("intermediate ray count blew up")
             rays = new_rays
             active = new_active
-        processed.append(ri)
-    rays = [vec(integerize(r)) for r in rays]
-    lineality = [vec(integerize(l)) for l in lineality]
-    return tuple(rays), tuple(lineality)
+        processed |= bit
+    # Fraction entries: callers divide coordinates, and int / int is a float
+    return tuple(vec(r) for r in rays), tuple(vec(l) for l in lineality)
 
 
 def hrep_to_generators(ineqs, eqs, dim: int):

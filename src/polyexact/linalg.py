@@ -79,15 +79,6 @@ def linf_norm(u: Vec) -> Fraction:
     return max((abs(a) for a in u), default=ZERO)
 
 
-def canonical_ray(u: Vec) -> Vec:
-    """Scale a nonzero direction by a positive factor so the first
-    nonzero entry has absolute value one."""
-    for a in u:
-        if a != 0:
-            return tuple(x / abs(a) for x in u)
-    raise InputError("zero vector has no direction")
-
-
 def lcm_all(nums) -> int:
     out = 1
     for n in nums:
@@ -138,22 +129,6 @@ def rank(rows: list[Vec]) -> int:
         return 0
     reduced, _ = rref([list(r) for r in rows])
     return len(reduced)
-
-
-def kernel_basis(rows: list[Vec], dim: int) -> list[Vec]:
-    """Canonical basis of {x : r.x = 0 for every row r}."""
-    if not rows:
-        return [unit_vec(dim, i) for i in range(dim)]
-    reduced, pivots = rref([list(r) for r in rows])
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * dim
-        v[fc] = ONE
-        for ri, pc in enumerate(pivots):
-            v[pc] = -reduced[ri][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def reduce_mod_subspace(v: Vec, rref_rows: list[list[Fraction]],

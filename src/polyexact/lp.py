@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from .errors import InputError, InternalError
 from .linalg import Vec, frac, lcm_all, vec
@@ -121,9 +121,8 @@ def _exact_div(num: int, den: int) -> int:
 class _Tableau:
     """Integer simplex tableau with one shared positive denominator."""
 
-    def __init__(self, lp: LinearProgram, trace=None):
+    def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.trace = trace
         n = lp.dim
         # split columns: free variables get a +/- pair
         self.tcols: list[tuple[int, int]] = []
@@ -202,8 +201,6 @@ class _Tableau:
             for row in self.rows + [self.obj1, self.obj2]:
                 for j in range(width):
                     row[j] = -row[j]
-        if self.trace is not None:
-            self.trace(self.render())
 
     def _ratio_row(self, pc: int) -> int | None:
         best = None
@@ -276,22 +273,13 @@ class _Tableau:
             out.append(y_std * self.rowscale[r] / unscale)
         return out
 
-    def render(self) -> str:
-        lines = [f"den={self.den} basis={self.basis}"]
-        for i, row in enumerate(self.rows):
-            tag = "" if self.active[i] else " (dropped)"
-            lines.append(" ".join(str(v) for v in row) + tag)
-        lines.append("z1 " + " ".join(str(v) for v in self.obj1))
-        lines.append("z2 " + " ".join(str(v) for v in self.obj2))
-        return "\n".join(lines)
 
-
-def solve_lp(lp: LinearProgram, trace: Callable[[str], None] | None = None) -> LpOutcome:
+def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; the returned certificate is verified before return.
 
     Deterministic: the same program yields the identical outcome object.
     """
-    tab = _Tableau(lp, trace)
+    tab = _Tableau(lp)
     unbounded_col = tab._run(tab.obj1, tab.nt + tab.ns)
     if unbounded_col is not None:
         raise InternalError("phase one cannot be unbounded")
