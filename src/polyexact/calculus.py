@@ -31,7 +31,6 @@ from .linalg import (
     ONE,
     ZERO,
     Vec,
-    dot,
     is_zero_vec,
     l1_norm,
     linf_norm,
@@ -53,20 +52,15 @@ from .lp import (
     solve_lp,
 )
 from .oracle import Lcg
-from .sets import ConvexSet, ball_inf
+from .sets import ConvexSet, ball_inf, check_same_dim
 
 RADIUS_GRID = tuple(Fraction(2 ** k) for k in range(7))
 
 PROBE_COUNT = 16
 
 
-def _check_dims(s1: ConvexSet, s2: ConvexSet) -> None:
-    if s1.dim != s2.dim:
-        raise InputError("sets live in different dimensions")
-
-
 def _common_member(s1: ConvexSet, s2: ConvexSet, xbar) -> Vec:
-    _check_dims(s1, s2)
+    check_same_dim(s1, s2)
     x = vec(xbar)
     if len(x) != s1.dim:
         raise InputError("point dimension does not match the sets")
@@ -77,7 +71,7 @@ def _common_member(s1: ConvexSet, s2: ConvexSet, xbar) -> Vec:
 
 def common_point(s1: ConvexSet, s2: ConvexSet) -> Vec | None:
     """A point of the intersection, or None when the sets are disjoint."""
-    _check_dims(s1, s2)
+    check_same_dim(s1, s2)
     h = s1.intersect(s2).hrep()
     out = solve_lp(make_program(zero_vec(h.dim), ineqs=h.ineqs, eqs=h.eqs))
     return out.point if isinstance(out, LpOptimal) else None
@@ -141,7 +135,7 @@ def difference_interiority(s1: ConvexSet, s2: ConvexSet) -> Fraction | None:
     s1 - s2, or None when the origin is not interior to the difference.
     The difference set is never materialized; each corner of the box is
     reached by its own decomposition program."""
-    _check_dims(s1, s2)
+    check_same_dim(s1, s2)
     corners = _corner_decompositions(s1, s2)
     if corners is None:
         return None
@@ -153,7 +147,7 @@ def core_at_zero(s1: ConvexSet, s2: ConvexSet) -> bool:
     contains the origin and absorbs every signed coordinate direction.
     Convexity then absorbs all directions, so this matches the
     definitional core test on the materialized difference."""
-    _check_dims(s1, s2)
+    check_same_dim(s1, s2)
     if common_point(s1, s2) is None:
         return False
     for i in range(s1.dim):
@@ -164,8 +158,10 @@ def core_at_zero(s1: ConvexSet, s2: ConvexSet) -> bool:
     return True
 
 
-def _meets_interior(s1: ConvexSet, s2: ConvexSet) -> bool:
-    """Whether some point of s1 is interior to s2."""
+def meets_interior(s1: ConvexSet, s2: ConvexSet) -> bool:
+    """Whether some point of s1 is interior to s2. One program inflates
+    a slack variable over the canonical rows of s2 while staying inside
+    s1; a positive best slack is exactly an interior meeting point."""
     ch = s2.canonical_hrep()
     if ch.eqs:
         return False
@@ -210,7 +206,7 @@ def qualification_report(s1: ConvexSet, s2: ConvexSet, xbar) -> QcReport:
     decompositions by shrinking them toward the common point, so the
     windowed condition is decided, never given up on."""
     x = _common_member(s1, s2, xbar)
-    classical = _meets_interior(s1, s2)
+    classical = meets_interior(s1, s2)
     corners = _corner_decompositions(s1, s2)
     core = core_at_zero(s1, s2)
     radius = None
@@ -358,6 +354,10 @@ class InfConvolutionValue:
     witness2: Vec | None
 
 
+# order of the value kinds, minus infinity lowest
+KIND_ORDER = {"minus-infinity": -1, "finite": 0, "plus-infinity": 1}
+
+
 def inf_convolution_support(s1: ConvexSet, s2: ConvexSet, xstar) -> InfConvolutionValue:
     """Infimal convolution of the two support functions at a functional.
 
@@ -366,7 +366,7 @@ def inf_convolution_support(s1: ConvexSet, s2: ConvexSet, xstar) -> InfConvoluti
     recombining to the functional. Row multipliers for inequalities are
     nonnegative, those for equalities are free. The witnesses are the
     two halves of that recombination."""
-    _check_dims(s1, s2)
+    check_same_dim(s1, s2)
     g = vec(xstar)
     if len(g) != s1.dim:
         raise InputError("functional dimension does not match the sets")
@@ -428,9 +428,6 @@ class SupportIntersectionVerdict:
     inequality_holds: bool
 
 
-_KIND_ORDER = {"minus-infinity": -1, "finite": 0, "plus-infinity": 1}
-
-
 def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> SupportIntersectionVerdict:
     """Evaluate the intersection support identity at one functional.
 
@@ -439,7 +436,7 @@ def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> Support
     witnesses are asserted, and a failure raises InternalError rather
     than reporting a false verdict. Without the hypotheses only the
     universal inequality is asserted."""
-    _check_dims(s1, s2)
+    check_same_dim(s1, s2)
     g = vec(xstar)
     if len(g) != s1.dim:
         raise InputError("functional dimension does not match the sets")
@@ -458,7 +455,7 @@ def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> Support
         inequality = lhs.value <= rhs.value
     else:
         equal = lhs_kind == rhs.kind
-        inequality = _KIND_ORDER[lhs_kind] <= _KIND_ORDER[rhs.kind]
+        inequality = KIND_ORDER[lhs_kind] <= KIND_ORDER[rhs.kind]
     attained = None
     if hypotheses and lhs_kind == "finite":
         sv1 = support_value(s1, rhs.witness1)
@@ -481,16 +478,3 @@ def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> Support
         attained=attained,
         inequality_holds=inequality,
     )
-
-
-def prop33_hypotheses(s1: ConvexSet, s2: ConvexSet) -> bool:
-    """Whether the difference set has interior points and contains the
-    origin in its core. Checked on the materialized difference, which
-    makes this an independent cross-check of the reach-based tests."""
-    _check_dims(s1, s2)
-    if s1.is_empty() or s2.is_empty():
-        return False
-    d = s1.difference(s2)
-    if not d.core_contains(zero_vec(s1.dim)):
-        return False
-    return d.interior_point() is not None

@@ -11,7 +11,6 @@ canonical form stays a tested invariant rather than an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import dd
 from .errors import PreconditionError
@@ -19,8 +18,10 @@ from .lp import NONNEG, LpOptimal, make_program, solve_lp
 from .linalg import (
     Vec,
     is_zero_vec,
+    lead_normalized,
     reduce_mod_subspace,
     rref,
+    unit_vec,
     vec,
     vneg,
     zero_vec,
@@ -88,8 +89,7 @@ def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
         r = reduce_mod_subspace(g, lin_rows, pivots)
         if is_zero_vec(r):
             continue
-        lead = next(x for x in r if x != 0)
-        r = tuple(x / abs(lead) for x in r)
+        r = lead_normalized(r)
         if r not in seen:
             seen.append(r)
     survivors = list(seen)
@@ -119,9 +119,8 @@ def cone_rows(c: PolyhedralCone) -> tuple[Vec, ...]:
         # only the origin: pin every coordinate
         rows = []
         for i in range(c.dim):
-            e = tuple(Fraction(1 if j == i else 0) for j in range(c.dim))
-            rows.append(e)
-            rows.append(vneg(e))
+            rows.append(unit_vec(c.dim, i))
+            rows.append(unit_vec(c.dim, i, -1))
         return tuple(rows)
     rays, lin = dd.cone_from_inequalities(gens, c.dim)
     rows = list(rays)

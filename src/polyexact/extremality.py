@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .calculus import meets_interior
 from .cones import ep_condition, normal_cone
 from .errors import InputError, InternalError, PolyhedralError, PreconditionError
 from .linalg import (
@@ -34,8 +35,8 @@ from .linalg import (
     vsub,
     zero_vec,
 )
-from .lp import LpInfeasible, LpOptimal, make_program, solve_lp
-from .sets import ConvexSet
+from .lp import LpOptimal, make_program, solve_lp
+from .sets import ConvexSet, check_same_dim
 
 Row = tuple[Vec, Fraction]
 
@@ -95,10 +96,33 @@ class ApproxEpCertificate:
 
 
 def _check_pair(s1: ConvexSet, s2: ConvexSet) -> None:
-    if s1.dim != s2.dim:
-        raise InputError("sets live in different dimensions")
+    check_same_dim(s1, s2)
     if s1.is_empty() or s2.is_empty():
         raise PreconditionError("both sets must be nonempty")
+
+
+def _positive_epsilon(epsilon) -> Fraction:
+    eps = frac(epsilon)
+    if eps <= 0:
+        raise InputError("epsilon must be positive")
+    return eps
+
+
+def _evidence(s1: ConvexSet, s2: ConvexSet) -> tuple[ConvexSet, Row | None]:
+    """The difference set of a pair that passed _check_pair, with its
+    evidence row, which is None exactly when the origin is interior to
+    the difference. This is the one place extremality is decided.
+    Callers run _check_pair themselves, before checking their own
+    arguments, so each error keeps its place in the order."""
+    d = s1.difference(s2)
+    # an interior origin settles the answer without canonicalizing the
+    # difference, which is the expensive step on fat instances
+    if d.interior_contains(zero_vec(s1.dim)):
+        return d, None
+    evidence = _boundary_evidence(d)
+    if evidence is None:
+        raise InternalError("origin not interior yet no supporting row found")
+    return d, evidence
 
 
 def _boundary_evidence(d: ConvexSet) -> Row | None:
@@ -144,22 +168,15 @@ def is_extremal_system(s1: ConvexSet, s2: ConvexSet,
 
     The difference set is materialized and the verdict is literally
     whether the origin fails to be interior to it. When epsilon is given
-    and the pair is extremal, a verified perturbation of that size is
-    attached to the verdict.
+    it must be positive, and if the pair is extremal a verified
+    perturbation of that size is attached to the verdict.
     """
     _check_pair(s1, s2)
-    d = s1.difference(s2)
-    if d.interior_contains(zero_vec(s1.dim)):
-        return ExtremalityVerdict(False, d, None, _interior_radius(d))
-    evidence = _boundary_evidence(d)
+    eps = None if epsilon is None else _positive_epsilon(epsilon)
+    d, evidence = _evidence(s1, s2)
     if evidence is None:
-        raise InternalError("origin not interior yet no supporting row found")
-    eps = pert = None
-    if epsilon is not None:
-        eps = frac(epsilon)
-        if eps <= 0:
-            raise InputError("epsilon must be positive")
-        pert = _verified_perturbation(s1, s2, evidence, eps)
+        return ExtremalityVerdict(False, d, None, _interior_radius(d))
+    pert = None if eps is None else _verified_perturbation(s1, s2, evidence, eps)
     return ExtremalityVerdict(True, d, evidence, None, eps, pert)
 
 
@@ -183,10 +200,8 @@ def find_perturbation(s1: ConvexSet, s2: ConvexSet, epsilon) -> Vec:
     retry is kept as a guard and failing it is an internal error.
     """
     _check_pair(s1, s2)
-    eps = frac(epsilon)
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
-    evidence = _boundary_evidence(s1.difference(s2))
+    eps = _positive_epsilon(epsilon)
+    _, evidence = _evidence(s1, s2)
     if evidence is None:
         raise PreconditionError("the sets do not form an extremal system")
     return _verified_perturbation(s1, s2, evidence, eps)
@@ -209,12 +224,7 @@ def separate(s1: ConvexSet, s2: ConvexSet) -> SeparationCertificate | None:
     sets are nonempty.
     """
     _check_pair(s1, s2)
-    d = s1.difference(s2)
-    # an interior origin settles the answer without canonicalizing the
-    # difference, which is the expensive step on fat instances
-    if d.interior_contains(zero_vec(d.dim)):
-        return None
-    evidence = _boundary_evidence(d)
+    _, evidence = _evidence(s1, s2)
     if evidence is None:
         return None
     g, _ = evidence
@@ -227,29 +237,11 @@ def separate(s1: ConvexSet, s2: ConvexSet) -> SeparationCertificate | None:
 
 def check_sufficient_interiority(s1: ConvexSet, s2: ConvexSet) -> bool:
     """True when the first set has interior points and none of them lies
-    in the second set. The check inflates a slack variable over the rows
-    of the first set while staying inside the second; a positive best
-    slack is exactly an interior meeting point."""
-    if s1.dim != s2.dim:
-        raise InputError("sets live in different dimensions")
-    if s1.is_empty():
+    in the second set."""
+    check_same_dim(s1, s2)
+    if s1.is_empty() or s1.canonical_hrep().eqs:
         return False
-    ch = s1.canonical_hrep()
-    if ch.eqs:
-        return False
-    n = s1.dim
-    h2 = s2.hrep()
-    rows = [(tuple(a) + (Fraction(0),), b) for a, b in h2.ineqs]
-    eqs = [(tuple(a) + (Fraction(0),), b) for a, b in h2.eqs]
-    for a, b in ch.ineqs:
-        rows.append((tuple(a) + (l1_norm(a),), b))
-    rows.append((zero_vec(n) + (Fraction(1),), Fraction(1)))
-    out = solve_lp(make_program(zero_vec(n) + (Fraction(-1),), ineqs=rows, eqs=eqs))
-    if isinstance(out, LpInfeasible):
-        return True
-    if isinstance(out, LpOptimal):
-        return -out.value <= 0
-    raise InternalError("capped slack program cannot be unbounded")
+    return not meets_interior(s2, s1)
 
 
 def _penalized_gap_minimum(s1: ConvexSet, s2: ConvexSet, xbar: Vec,
@@ -340,15 +332,13 @@ def approximate_extremal_principle(s1: ConvexSet, s2: ConvexSet, xbar,
     are used, with errors of l1 norm at most epsilon.
     """
     _check_pair(s1, s2)
-    eps = frac(epsilon)
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
+    eps = _positive_epsilon(epsilon)
     x = vec(xbar)
     if len(x) != s1.dim:
         raise InputError(f"point has {len(x)} coordinates, expected {s1.dim}")
     if not (s1.contains(x) and s2.contains(x)):
         raise PreconditionError("the reference point must lie in both sets")
-    evidence = _boundary_evidence(s1.difference(s2))
+    _, evidence = _evidence(s1, s2)
     if evidence is None:
         raise PreconditionError("the sets do not form an extremal system")
     a = _verified_perturbation(s1, s2, evidence, eps * eps)
@@ -414,9 +404,7 @@ def support_point_near(s: ConvexSet, xbar, epsilon) -> tuple[Vec, Vec]:
     over the set at the point. The epsilon tolerance is validated but
     the returned point is always xbar, at distance zero.
     """
-    eps = frac(epsilon)
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
+    _positive_epsilon(epsilon)
     x = vec(xbar)
     if len(x) != s.dim:
         raise InputError(f"point has {len(x)} coordinates, expected {s.dim}")

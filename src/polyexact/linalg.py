@@ -71,6 +71,12 @@ def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
+def lead_normalized(u: Vec) -> Vec:
+    """u scaled so its first nonzero entry is 1 or -1; u must be nonzero."""
+    lead = next(x for x in u if x != 0)
+    return tuple(x / abs(lead) for x in u)
+
+
 def l1_norm(u: Vec) -> Fraction:
     return sum((abs(a) for a in u), ZERO)
 

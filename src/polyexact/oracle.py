@@ -12,10 +12,10 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-from .errors import InputError, PreconditionError
-from .linalg import Vec, dot, l1_norm, vec, vneg, vsub
+from .errors import InputError
+from .linalg import dot, l1_norm, unit_vec, vec, vneg, vsub, zero_vec
 from .lp import LinearProgram, LpInfeasible, LpOptimal, LpUnbounded, make_program
-from .sets import ConvexSet, HRep
+from .sets import ConvexSet, HRep, check_same_dim
 
 
 class Lcg:
@@ -139,7 +139,7 @@ def _box_rows(rng: Lcg, dim: int, anchor) -> list:
     r = Fraction(rng.int_between(1, 3))
     rows = []
     for i in range(dim):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
+        e = unit_vec(dim, i)
         rows.append((e, anchor[i] + r))
         rows.append((vneg(e), r - anchor[i]))
     return rows
@@ -198,72 +198,6 @@ def grid_interior_verdict(h: HRep, x, cell: Fraction):
     return None
 
 
-# -- independent two dimensional geometry -------------------------------------
-
-def hull2d(points) -> tuple[Vec, ...]:
-    """Convex hull by the monotone chain, counterclockwise without
-    collinear interior points."""
-    pts = sorted(set(vec(p) for p in points))
-    if len(pts) <= 2:
-        return tuple(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def build(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return tuple(lower[:-1] + upper[:-1])
-
-
-def hull2d_contains(points, x) -> bool:
-    """Membership in a planar hull without any linear programming: the
-    hull is unchanged exactly when x was already inside."""
-    return hull2d(list(points) + [x]) == hull2d(points)
-
-
-def rows_2d_from_points(points) -> tuple:
-    """Independent planar facet enumeration: homogenize to a cone in
-    three dimensions and read facet normals off generator cross
-    products."""
-    pts = [vec(p) for p in points]
-    if not pts:
-        raise PreconditionError("no points to bound")
-    gens = [(p[0], p[1], Fraction(1)) for p in pts]
-    rows = []
-    for g, h in itertools.combinations(gens, 2):
-        n = (
-            g[1] * h[2] - g[2] * h[1],
-            g[2] * h[0] - g[0] * h[2],
-            g[0] * h[1] - g[1] * h[0],
-        )
-        if not any(n):
-            continue
-        for cand in (n, tuple(-v for v in n)):
-            if all(sum(c * gi for c, gi in zip(cand, gg)) <= 0 for gg in gens):
-                a = (cand[0], cand[1])
-                if any(a) and (a, -cand[2]) not in rows:
-                    rows.append((a, -cand[2]))
-    return tuple(rows)
-
-
-def materialized_difference_2d(s1: ConvexSet, s2: ConvexSet):
-    """Hull of pairwise vertex differences of two bounded planar sets;
-    an oracle route that never touches the library's set algebra."""
-    v1, v2 = s1.canonical_vrep(), s2.canonical_vrep()
-    if v1.rays or v2.rays:
-        raise PreconditionError("difference oracle needs bounded sets")
-    diffs = [tuple(a - b for a, b in zip(p, q)) for p in v1.vertices for q in v2.vertices]
-    return hull2d(diffs)
-
-
 # -- support and normal cone oracles ------------------------------------------
 
 def vertex_support_oracle(s: ConvexSet, direction):
@@ -286,3 +220,16 @@ def definition_normal_cone_oracle(s: ConvexSet, x, g) -> bool:
     v = s.canonical_vrep()
     return all(dot(g, vsub(p, x)) <= 0 for p in v.vertices) and all(
         dot(g, r) <= 0 for r in v.rays)
+
+
+def prop33_hypotheses(s1: ConvexSet, s2: ConvexSet) -> bool:
+    """Whether the difference set has interior points and contains the
+    origin in its core. Checked on the materialized difference, which
+    makes this an independent cross-check of the reach-based tests."""
+    check_same_dim(s1, s2)
+    if s1.is_empty() or s2.is_empty():
+        return False
+    d = s1.difference(s2)
+    if not d.core_contains(zero_vec(s1.dim)):
+        return False
+    return d.interior_point() is not None

@@ -16,7 +16,6 @@ from .calculus import (
     InfConvolutionValue,
     IntersectionRuleResult,
     QcReport,
-    SupportIntersectionVerdict,
     SupportValue,
 )
 from .cones import PolyhedralCone
@@ -47,10 +46,6 @@ class Report:
 
 
 # -- rational and vector formatting --------------------------------------------
-
-def rat(x: Fraction) -> str:
-    return str(x)
-
 
 def vec_payload(v):
     return None if v is None else [str(c) for c in v]
@@ -162,20 +157,4 @@ def infconv_payload(v: InfConvolutionValue) -> dict:
         "value": value,
         "witness1": vec_payload(v.witness1),
         "witness2": vec_payload(v.witness2),
-    }
-
-
-def theorem_payload(v: SupportIntersectionVerdict) -> dict:
-    return {
-        "hypotheses_met": v.hypotheses_met,
-        "intersection_nonempty": v.intersection_nonempty,
-        "bounded_side": v.bounded_side,
-        "difference_interiority": v.difference_interiority,
-        "intersection_support": (
-            None if v.intersection_support is None else support_payload(v.intersection_support)
-        ),
-        "convolution": infconv_payload(v.convolution),
-        "equal": v.equal,
-        "attained": v.attained,
-        "inequality_holds": v.inequality_holds,
     }

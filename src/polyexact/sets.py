@@ -23,9 +23,11 @@ from .linalg import (
     frac,
     is_zero_vec,
     l1_norm,
+    lead_normalized,
     rref,
     reduce_mod_subspace,
     unit_vec,
+    vadd,
     vec,
     vneg,
     zero_vec,
@@ -264,7 +266,7 @@ class ConvexSet:
                         tuple((a, b + dot(a, t)) for a, b in h.eqs))
         if self._vrep is not None:
             v = self._vrep
-            vrep = VRep(v.dim, tuple(vec_add(p, t) for p in v.vertices), v.rays)
+            vrep = VRep(v.dim, tuple(vadd(p, t) for p in v.vertices), v.rays)
         return ConvexSet(hrep=hrep, vrep=vrep)
 
     def negate(self) -> "ConvexSet":
@@ -282,19 +284,19 @@ class ConvexSet:
         return ConvexSet(hrep=hrep, vrep=vrep)
 
     def intersect(self, other: "ConvexSet") -> "ConvexSet":
-        self._same_dim(other)
+        check_same_dim(self, other)
         a, b = self.hrep(), other.hrep()
         return ConvexSet(hrep=HRep(self.dim, a.ineqs + b.ineqs, a.eqs + b.eqs))
 
     def minkowski(self, other: "ConvexSet") -> "ConvexSet":
-        self._same_dim(other)
+        check_same_dim(self, other)
         a, b = self.vrep(), other.vrep()
         if not a.vertices or not b.vertices:
             return ConvexSet(vrep=VRep(self.dim, (), ()))
         seen = []
         for p in a.vertices:
             for q in b.vertices:
-                s = vec_add(p, q)
+                s = vadd(p, q)
                 if s not in seen:
                     seen.append(s)
         rays = []
@@ -346,14 +348,13 @@ class ConvexSet:
         seen = []
         for a, b in kept:
             r = reduce_mod_subspace(tuple(a) + (b,), reduced_eqs, pivots)
-            a, b = r[:-1], r[-1]
-            if is_zero_vec(a):
+            if is_zero_vec(r[:-1]):
                 continue
-            lead = next(x for x in a if x != 0)
-            a = tuple(x / abs(lead) for x in a)
-            b = b / abs(lead)
-            if (a, b) not in seen:
-                seen.append((a, b))
+            # the lead entry of r lies in its normal part
+            r = lead_normalized(r)
+            row = (r[:-1], r[-1])
+            if row not in seen:
+                seen.append(row)
         pruned = list(seen)
         for row in list(pruned):
             rest = [r for r in pruned if r is not row]
@@ -368,7 +369,7 @@ class ConvexSet:
         pts, rays, lin = dd.hrep_to_generators(h.ineqs, h.eqs, self.dim)
         dirs = []
         for r in tuple(rays) + tuple(lin) + tuple(vneg(l) for l in lin):
-            c = _canonical_direction(r)
+            c = lead_normalized(r)
             if c not in dirs:
                 dirs.append(c)
         return VRep(self.dim, tuple(sorted(pts)), tuple(sorted(dirs)))
@@ -381,18 +382,10 @@ class ConvexSet:
             raise InputError(f"point has {len(x)} coordinates, expected {self.dim}")
         return x
 
-    def _same_dim(self, other: "ConvexSet") -> None:
-        if self.dim != other.dim:
-            raise InputError("sets live in different dimensions")
 
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _canonical_direction(r: Vec) -> Vec:
-    lead = next(x for x in r if x != 0)
-    return tuple(x / abs(lead) for x in r)
+def check_same_dim(s1: ConvexSet, s2: ConvexSet) -> None:
+    if s1.dim != s2.dim:
+        raise InputError("sets live in different dimensions")
 
 
 def _generator_membership(vertices, rays, x: Vec) -> bool:

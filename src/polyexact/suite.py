@@ -16,6 +16,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .calculus import (
+    KIND_ORDER,
     common_point,
     core_at_zero,
     difference_interiority,
@@ -27,6 +28,7 @@ from .calculus import (
     support_value,
 )
 from .cones import ep_condition, normal_cone
+from .errors import InputError
 from .extremality import (
     EPSILON_GRID,
     approximate_extremal_principle,
@@ -82,9 +84,6 @@ FIXTURE_PAIRS = {
     "halfplanes": ("lower", "upper", "origin"),
     "separated-boxes": ("left", "right", None),
 }
-
-_KIND_RANK = {"minus-infinity": -1, "finite": 0, "plus-infinity": 1}
-
 
 @dataclass(frozen=True)
 class SweepOutcome:
@@ -273,7 +272,7 @@ def _check_pair(task, rec: _Record) -> None:
             conv = inf_convolution_support(s1, s2, g)
             sup = support_value(joint, g) if nonempty else None
             left = -1 if sup is None else (0 if sup.value is not None else 1)
-            right = _KIND_RANK[conv.kind]
+            right = KIND_ORDER[conv.kind]
             below = left < right or (
                 left == right and (left != 0 or sup.value <= conv.value)
             )
@@ -424,10 +423,10 @@ def run_suite(dims=DEFAULT_DIMS, seed_range=DEFAULT_SEED_RANGE,
     dims = tuple(dims)
     for dim in dims:
         if dim not in (1, 2, 3, 4):
-            raise ValueError(f"unsupported dimension {dim}")
+            raise InputError(f"unsupported dimension {dim}")
     lo, hi = seed_range
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad seed range {lo}..{hi}")
+        raise InputError(f"bad seed range {lo}..{hi}")
     tasks = build_tasks(dims, (lo, hi), lp_count, boundary_count)
     if parallel is not None and parallel > 1:
         with Pool(parallel) as pool:

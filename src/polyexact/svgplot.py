@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import Vec, dot, frac, linf_norm, vadd, vec, vscale, vsub
+from .linalg import Vec, frac, linf_norm, vadd, vec, vscale, vsub
 from .sets import ConvexSet, ball_inf
 
 CANVAS = 512

@@ -11,7 +11,6 @@ from polyexact.calculus import (
     difference_interiority,
     inf_convolution_support,
     intersection_rule,
-    prop33_hypotheses,
     qualification_report,
     standard_probes,
     support_intersection_theorem,
@@ -23,6 +22,7 @@ from polyexact.extremality import is_extremal_system
 from polyexact.linalg import dot, vadd, vec, vscale, zero_vec
 from polyexact.oracle import (
     Lcg,
+    prop33_hypotheses,
     random_pair_with_common_point,
     random_polytope,
     vertex_support_oracle,

@@ -135,6 +135,16 @@ def test_bad_rational_flag_exits_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("pair", [("halfplanes", "lower", "upper"),
+                                  ("boxes-overlap", "left", "right")])
+@pytest.mark.parametrize("eps", ["0", "-1"])
+def test_nonpositive_epsilon_exits_2(capsys, pair, eps):
+    code, out, err = run(capsys, "--json", "check-extremal", *pair, "--epsilon", eps)
+    assert code == 2
+    assert json.loads(out)["result"]["error"]["kind"] == "input"
+    assert err == "error: epsilon must be positive\n"
+
+
 def test_json_error_document(capsys):
     code, out, err = run(capsys, "--json", "ep", "boxes-overlap", "left",
                          "right", "inner", "1/10")
@@ -164,6 +174,16 @@ def test_verify_suite_small_and_deterministic(capsys):
     doc = json.loads(out)
     names = [s["name"] for s in doc["result"]["sweeps"]]
     assert len(names) == 9 and "lp-certification" in names
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dims", "5", "unsupported dimension 5"),
+    ("--seed-range", "0..2", "bad seed range 0..2"),
+])
+def test_verify_suite_bad_configuration_exits_2(capsys, flag, value, message):
+    code, _, err = run(capsys, "verify-suite", flag, value)
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_plot_writes_deterministic_svg(tmp_path, capsys):

@@ -309,6 +309,18 @@ def test_empty_input_rejected():
                            ConvexSet.from_hrep(3, ineqs=[((1, 0, 0), 1)]))
 
 
+def test_epsilon_validated_whatever_the_verdict():
+    overlap = (box(0, 2, 0, 2), box(1, 3, 1, 3))
+    touching = (lower_halfplane(), upper_halfplane())
+    for pair in (overlap, touching):
+        for eps in (0, -1):
+            with pytest.raises(InputError, match="epsilon must be positive"):
+                is_extremal_system(*pair, epsilon=eps)
+    v = is_extremal_system(*overlap, epsilon=F(1, 2))
+    assert not v.extremal
+    assert v.epsilon is None and v.perturbation is None
+
+
 def test_verdict_determinism():
     for seed in (3, 7, 11):
         s1, s2, _ = random_pair_with_common_point(seed, 3)
