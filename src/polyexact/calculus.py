@@ -329,8 +329,7 @@ def support_value(s: ConvexSet, xstar) -> SupportValue:
         raise InputError("functional dimension does not match the set")
     if s.is_empty():
         raise PreconditionError("support of the empty set")
-    h = s.hrep()
-    out = solve_lp(make_program(vneg(g), ineqs=h.ineqs, eqs=h.eqs))
+    out = s.lp_system().solve(vneg(g))
     if isinstance(out, LpOptimal):
         return SupportValue(-out.value, out.point, None)
     if isinstance(out, LpUnbounded):

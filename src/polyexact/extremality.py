@@ -208,8 +208,7 @@ def find_perturbation(s1: ConvexSet, s2: ConvexSet, epsilon) -> Vec:
 
 
 def _sup(s: ConvexSet, g: Vec) -> Fraction:
-    h = s.hrep()
-    out = solve_lp(make_program(vneg(g), ineqs=h.ineqs, eqs=h.eqs))
+    out = s.lp_system().solve(vneg(g))
     if isinstance(out, LpOptimal):
         return -out.value
     raise InternalError("support value is not finite where it must be")

@@ -112,22 +112,28 @@ def _parse_set(name: str, payload) -> tuple[ConvexSet, str]:
     unknown = set(payload) - allowed
     if unknown:
         raise FormatError(f"{where}: unknown keys {', '.join(sorted(unknown))}")
+    first, second = ("ineqs", "eqs") if kind == "hrep" else ("vertices", "rays")
+    if _length(payload.get(first)) + _length(payload.get(second)) > MAX_DOC_ROWS:
+        what = "rows" if kind == "hrep" else "generators"
+        raise CapacityError(f"{where}: more than {MAX_DOC_ROWS} {what}")
     try:
         if kind == "hrep":
             ineqs = _parse_rows(payload.get("ineqs"), dim, f"{where} ineqs")
             eqs = _parse_rows(payload.get("eqs"), dim, f"{where} eqs")
-            if len(ineqs) + len(eqs) > MAX_DOC_ROWS:
-                raise CapacityError(f"{where}: more than {MAX_DOC_ROWS} rows")
             return ConvexSet.from_hrep(dim, ineqs=ineqs, eqs=eqs), kind
         vertices = _parse_vectors(payload.get("vertices"), dim, f"{where} vertices")
         rays = _parse_vectors(payload.get("rays"), dim, f"{where} rays")
-        if len(vertices) + len(rays) > MAX_DOC_ROWS:
-            raise CapacityError(f"{where}: more than {MAX_DOC_ROWS} generators")
         return ConvexSet.from_vrep(dim, vertices=vertices, rays=rays), kind
     except FormatError:
         raise
     except InputError as e:
         raise FormatError(f"{where}: {e}") from e
+
+
+def _length(raw) -> int:
+    """Entry count of a raw row or generator array; other shapes are
+    rejected when parsed."""
+    return len(raw) if isinstance(raw, list) else 0
 
 
 def _parse_rows(raw, dim: int, where: str) -> list:

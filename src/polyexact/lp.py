@@ -22,10 +22,19 @@ The solver is a two-phase simplex with Bland's rule on an integer
 tableau: all rows share one positive denominator and pivots use the
 division-free update, so arithmetic stays in plain ints and results are
 bit-for-bit deterministic.
+
+Phase one never reads the objective, so it runs once per constraint
+system: PreparedSystem keeps the tableau it leaves and solves each
+objective on a copy. The phase-two cost row is then rebuilt exactly
+from the basis as den*c - sum_i c_B(i)*row_i, the same integers a cost
+row pivoted along from the start would hold, so a prepared solve returns
+the very outcome solve_lp gives. solve_lp runs both phases on one
+tableau without a copy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -119,11 +128,13 @@ def _exact_div(num: int, den: int) -> int:
 
 
 class _Tableau:
-    """Integer simplex tableau with one shared positive denominator."""
+    """Integer simplex tableau over the constraint rows of a program, all
+    rows sharing one positive denominator. The objective row being
+    optimized is handed to each pivot, so one tableau serves both
+    phases."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.dim
         # split columns: free variables get a +/- pair
         self.tcols: list[tuple[int, int]] = []
         for j, s in enumerate(lp.var_signs):
@@ -161,30 +172,57 @@ class _Tableau:
             row[-1] = bi
             self.rows.append(row)
             self.rowscale.append(t)
-        self.obj_scale = lcm_all([x.denominator for x in lp.objective] or [1])
-        cint = [int(x * self.obj_scale) for x in lp.objective]
-        self.obj2 = [0] * (self.ncols + 1)
-        for k, (j, sg) in enumerate(self.tcols):
-            self.obj2[k] = sg * cint[j]
-        self.obj1 = [0] * (self.ncols + 1)
-        for row in self.rows:
-            for j in range(self.ncols + 1):
-                self.obj1[j] -= row[j]
-        for r in range(self.m):
-            self.obj1[self.nt + self.ns + r] += 1
         self.basis = [self.nt + self.ns + r for r in range(self.m)]
         self.active = [True] * self.m
         self.den = 1
 
+    def copy(self) -> "_Tableau":
+        """A twin whose rows and basis can be pivoted independently;
+        phase two never changes the rest."""
+        twin = copy.copy(self)
+        twin.rows = [row[:] for row in self.rows]
+        twin.basis = self.basis[:]
+        return twin
+
     def art_col(self, r: int) -> int:
         return self.nt + self.ns + r
 
-    def _pivot(self, pr: int, pc: int) -> None:
+    def phase_one_row(self) -> list[int]:
+        """Cost row of the sum of the artificials in the starting basis."""
+        obj = [0] * (self.ncols + 1)
+        for row in self.rows:
+            for j in range(self.ncols + 1):
+                obj[j] -= row[j]
+        for r in range(self.m):
+            obj[self.art_col(r)] += 1
+        return obj
+
+    def objective_row(self, objective: Vec) -> tuple[int, list[int]]:
+        """(scale, row): the cost row of the integer objective
+        scale * objective in the current basis, den*c - sum_i c_B(i)*rows[i].
+
+        A cost row pivoted along from the start is zero on every basic
+        column and differs from den*c by a combination of the rows, which
+        pins it down; this is that row, computed exactly."""
+        scale = lcm_all([x.denominator for x in objective] or [1])
+        c = [0] * (self.ncols + 1)
+        for k, (j, sg) in enumerate(self.tcols):
+            c[k] = sg * int(objective[j] * scale)
+        obj = [self.den * x for x in c]
+        for i, row in enumerate(self.rows):
+            cb = c[self.basis[i]]
+            if cb:
+                for j in range(self.ncols + 1):
+                    obj[j] -= cb * row[j]
+        return scale, obj
+
+    def _pivot(self, pr: int, pc: int, obj: list[int] | None) -> None:
         piv = self.rows[pr][pc]
         den = self.den
         prow = self.rows[pr]
         width = self.ncols + 1
-        for row in self.rows + [self.obj1, self.obj2]:
+        rows = self.rows if obj is None else self.rows + [obj]
+        for row in rows:
             if row is prow:
                 continue
             f = row[pc]
@@ -198,7 +236,7 @@ class _Tableau:
         self.basis[pr] = pc
         if self.den < 0:
             self.den = -self.den
-            for row in self.rows + [self.obj1, self.obj2]:
+            for row in rows:
                 for j in range(width):
                     row[j] = -row[j]
 
@@ -231,7 +269,7 @@ class _Tableau:
             pr = self._ratio_row(pc)
             if pr is None:
                 return pc
-            self._pivot(pr, pc)
+            self._pivot(pr, pc, obj)
 
     def _drive_out_artificials(self) -> None:
         for i in range(self.m):
@@ -244,7 +282,7 @@ class _Tableau:
             if pc is None:
                 self.active[i] = False
             else:
-                self._pivot(i, pc)
+                self._pivot(i, pc, None)
 
     def point(self) -> Vec:
         vals = {}
@@ -274,18 +312,17 @@ class _Tableau:
         return out
 
 
-def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve exactly; the returned certificate is verified before return.
-
-    Deterministic: the same program yields the identical outcome object.
-    """
+def _phase_one(lp: LinearProgram) -> _Tableau | LpInfeasible:
+    """A tableau holding a feasible basis of lp's constraints with the
+    artificials driven out, or the verified Farkas outcome. Bland's rule
+    here never reads lp.objective."""
     tab = _Tableau(lp)
-    unbounded_col = tab._run(tab.obj1, tab.nt + tab.ns)
-    if unbounded_col is not None:
+    obj = tab.phase_one_row()
+    if tab._run(obj, tab.nt + tab.ns) is not None:
         raise InternalError("phase one cannot be unbounded")
-    if tab.obj1[-1] != 0:
+    if obj[-1] != 0:
         # positive infeasibility gap; multipliers give a Farkas witness
-        w = tab.row_multipliers(tab.obj1, 1, Fraction(1))
+        w = tab.row_multipliers(obj, 1, Fraction(1))
         outcome = LpInfeasible(
             farkas_ineq=tuple(-w[r] for r in range(tab.m1)),
             farkas_eq=tuple(-w[tab.m1 + k] for k in range(tab.m2)),
@@ -293,7 +330,14 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         _check(lp, outcome)
         return outcome
     tab._drive_out_artificials()
-    unbounded_col = tab._run(tab.obj2, tab.nt + tab.ns)
+    return tab
+
+
+def _phase_two(tab: _Tableau, lp: LinearProgram) -> LpOutcome:
+    """Optimize lp.objective from the phase-one basis in tab, which this
+    pivots; the certificate is verified against lp before return."""
+    scale, obj = tab.objective_row(lp.objective)
+    unbounded_col = tab._run(obj, tab.nt + tab.ns)
     if unbounded_col is not None:
         ray_t = {unbounded_col: Fraction(1)}
         for i in range(tab.m):
@@ -307,8 +351,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         outcome = LpUnbounded(ray=tuple(ray), point=tab.point())
         _check(lp, outcome)
         return outcome
-    value = Fraction(-tab.obj2[-1], tab.den) / tab.obj_scale
-    w = tab.row_multipliers(tab.obj2, 0, Fraction(tab.obj_scale))
+    value = Fraction(-obj[-1], tab.den) / scale
+    w = tab.row_multipliers(obj, 0, Fraction(scale))
     outcome = LpOptimal(
         point=tab.point(),
         value=value,
@@ -317,6 +361,42 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     )
     _check(lp, outcome)
     return outcome
+
+
+def solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Solve exactly; the returned certificate is verified before return.
+
+    Deterministic: the same program yields the identical outcome object.
+    """
+    tab = _phase_one(lp)
+    if isinstance(tab, LpInfeasible):
+        return tab
+    return _phase_two(tab, lp)
+
+
+class PreparedSystem:
+    """The constraints of a program after phase one, to be optimized
+    along any number of objectives.
+
+    solve(c) returns exactly what solve_lp returns for the same program
+    with objective c: phase one does not read the objective, and phase
+    two runs on a copy of the phase-one tableau, which is never changed
+    after construction. An infeasible system returns its Farkas outcome,
+    verified once, for every objective; that certificate does not
+    involve the objective either.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        self._start = _phase_one(lp)
+
+    def solve(self, objective) -> LpOutcome:
+        c = vec(objective)
+        if len(c) != self.lp.dim:
+            raise InputError(f"objective has {len(c)} coefficients, expected {self.lp.dim}")
+        if isinstance(self._start, LpInfeasible):
+            return self._start
+        return _phase_two(self._start.copy(), replace(self.lp, objective=c))
 
 
 def _check(lp: LinearProgram, outcome: LpOutcome) -> None:

@@ -3,10 +3,13 @@
 A ConvexSet wraps one or both descriptions of the same polyhedron: rows
 (HRep) and generators (VRep). Predicates prefer whichever raw form
 answers directly; the missing form is derived on first use and cached
-behind a lock. Canonicalization promotes implicit equalities, reduces
-inequality rows modulo the equality space, rescales, deduplicates,
-prunes rows that other rows imply, and sorts, so equal sets have equal
-canonical forms and reports stay byte-stable.
+behind a lock. The rows' prepared LP system (simplex phase one, run
+once; see lp.PreparedSystem) and the emptiness answer are derived the
+same way, so support values, emptiness and the row-promotion LPs of
+canonicalization share one phase one. Canonicalization promotes
+implicit equalities, reduces inequality rows modulo the equality space,
+rescales, deduplicates, prunes rows that other rows imply, and sorts,
+so equal sets have equal canonical forms and reports stay byte-stable.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 from . import dd
 from .errors import InputError, PreconditionError
-from .lp import NONNEG, LpOptimal, LpUnbounded, make_program, solve_lp
+from .lp import NONNEG, LpOptimal, LpUnbounded, PreparedSystem, make_program, solve_lp
 from .linalg import (
     Vec,
     dot,
@@ -112,6 +115,8 @@ class ConvexSet:
         self._vrep = vrep
         self._canonical_hrep: HRep | None = None
         self._canonical_vrep: VRep | None = None
+        self._lp_system: PreparedSystem | None = None
+        self._empty: bool | None = None
         self._lock = threading.RLock()
 
     @classmethod
@@ -150,6 +155,17 @@ class ConvexSet:
                     expanded = tuple(rays) + tuple(lin) + tuple(vneg(l) for l in lin)
                     self._vrep = make_vrep(h.dim, pts, expanded)
         return self._vrep
+
+    def lp_system(self) -> PreparedSystem:
+        """The rows of hrep() after simplex phase one; every LP over
+        exactly these rows solves through it."""
+        if self._lp_system is None:
+            with self._lock:
+                if self._lp_system is None:
+                    h = self.hrep()
+                    lp = make_program(zero_vec(self.dim), ineqs=h.ineqs, eqs=h.eqs)
+                    self._lp_system = PreparedSystem(lp)
+        return self._lp_system
 
     # -- basic predicates ---------------------------------------------------
 
@@ -203,9 +219,12 @@ class ConvexSet:
     def is_empty(self) -> bool:
         if self._vrep is not None:
             return not self._vrep.vertices
-        h = self._hrep
-        out = solve_lp(make_program(zero_vec(h.dim), ineqs=h.ineqs, eqs=h.eqs))
-        return not isinstance(out, (LpOptimal, LpUnbounded))
+        if self._empty is None:
+            with self._lock:
+                if self._empty is None:
+                    out = self.lp_system().solve(zero_vec(self.dim))
+                    self._empty = not isinstance(out, (LpOptimal, LpUnbounded))
+        return self._empty
 
     def is_bounded(self) -> bool:
         if self.is_empty():
@@ -213,12 +232,13 @@ class ConvexSet:
         if self._vrep is not None:
             return not self._vrep.rays
         h = self._hrep
-        rec_rows = [(a, Fraction(0)) for a, b in h.ineqs]
-        rec_eqs = [(a, Fraction(0)) for a, b in h.eqs]
+        recession = PreparedSystem(make_program(
+            zero_vec(self.dim),
+            ineqs=[(a, Fraction(0)) for a, b in h.ineqs],
+            eqs=[(a, Fraction(0)) for a, b in h.eqs]))
         for i in range(self.dim):
             for sign in (1, -1):
-                obj = unit_vec(self.dim, i, -sign)
-                out = solve_lp(make_program(obj, ineqs=rec_rows, eqs=rec_eqs))
+                out = recession.solve(unit_vec(self.dim, i, -sign))
                 if isinstance(out, LpUnbounded):
                     return False
                 if isinstance(out, LpOptimal) and out.value != 0:
@@ -333,7 +353,7 @@ class ConvexSet:
         # promote rows that every point meets with equality
         kept = []
         for a, b in ineq_rows:
-            out = solve_lp(make_program(a, ineqs=h.ineqs, eqs=h.eqs))
+            out = self.lp_system().solve(a)
             if isinstance(out, LpOptimal) and out.value == b:
                 eq_rows.append(list(a) + [b])
             else:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +216,12 @@ def test_plot_separator_must_separate(tmp_path, capsys):
                        str(tmp_path / "x.svg"))
     assert code == 1
     assert "does not separate" in err
+
+
+def test_verify_suite_report_matches_golden_bytes(capsys):
+    """A pinned small suite report: any drift in a verdict, certificate
+    or count changes these bytes."""
+    golden = Path(__file__).parent / "data" / "verify_suite_dims2_seeds1-3.json"
+    code, out, _ = run(capsys, "--json", "verify-suite", "--dims", "2", "--seed-range", "1..3")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()

@@ -140,6 +140,18 @@ def test_row_count_cap():
         parse_document('{"sets": {"s": {"kind": "hrep", "dim": 1, "ineqs": [%s]}}}' % rows)
 
 
+def test_caps_checked_before_any_literal_is_converted():
+    good = ",".join('{"normal": ["1"], "rhs": "%d"}' % k for k in range(MAX_DOC_ROWS))
+    bad = '{"normal": ["1"], "rhs": "not-a-number"}'
+    with pytest.raises(CapacityError, match="rows"):
+        parse_document('{"sets": {"s": {"kind": "hrep", "dim": 1, "eqs": [%s], "ineqs": [%s]}}}'
+                       % (bad, good))
+    vertices = ",".join('["%d"]' % k for k in range(MAX_DOC_ROWS))
+    with pytest.raises(CapacityError, match="generators"):
+        parse_document('{"sets": {"s": {"kind": "vrep", "dim": 1, "vertices": [%s], "rays": [["1.5"]]}}}'
+                       % vertices)
+
+
 def test_point_length_cap():
     text = '{"points": {"p": [%s]}}' % ",".join(['"1"'] * 9)
     with pytest.raises(CapacityError):

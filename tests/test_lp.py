@@ -3,13 +3,19 @@
 A certificate accepted by verify_certificate is a proof of the claimed
 outcome, so the random loops need no second solver: they check that the
 solver always returns a verifying certificate and that tampered
-certificates are rejected.
+certificates are rejected. The prepared-system tests do compare against
+a second solver, reference_solve, because they promise more than a valid
+certificate: the very outcome a cold two-phase solve gives.
 """
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from polyexact import lp as lp_module
+from polyexact.calculus import standard_probes
 from polyexact.errors import InputError
+from polyexact.linalg import lcm_all, vneg, zero_vec
 from polyexact.lp import (
     FREE,
     NONNEG,
@@ -17,11 +23,13 @@ from polyexact.lp import (
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
+    PreparedSystem,
     make_program,
     solve_lp,
     verify_certificate,
 )
-from polyexact.oracle import lp_mutations, random_lp
+from polyexact.oracle import lp_mutations, random_pair_with_common_point, random_lp
+from polyexact.sets import ConvexSet
 
 
 def test_box_corner_optimum():
@@ -166,3 +174,221 @@ def test_malformed_certificates_return_false():
     assert not verify_certificate(lp, LpOptimal(point=(F(0),), value=F(0), dual_ineq=(F(0),), dual_eq=()))
     assert not verify_certificate(lp, LpOptimal(point=(F(0), F(0)), value=F(0), dual_ineq=(), dual_eq=()))
     assert not verify_certificate(lp, "nonsense")
+
+
+# -- cross-check against a cold two-phase solve ---------------------------------
+
+class _ReferenceTableau:
+    """The one-shot solver the prepared system replaced: the phase-two
+    cost row starts as the objective and is pivoted along with phase one
+    and the artificial drive-out, instead of being rebuilt from the basis."""
+
+    def __init__(self, lp):
+        self.lp = lp
+        self.tcols = []
+        for j, s in enumerate(lp.var_signs):
+            if s >= 0:
+                self.tcols.append((j, 1))
+            if s <= 0:
+                self.tcols.append((j, -1))
+        self.m1 = len(lp.ineq_lhs)
+        self.m2 = len(lp.eq_lhs)
+        self.m = self.m1 + self.m2
+        self.nt = len(self.tcols)
+        self.ns = self.m1
+        self.ncols = self.nt + self.ns + self.m
+        self.rowscale = []
+        self.rows = []
+        for r in range(self.m):
+            if r < self.m1:
+                a, b = lp.ineq_lhs[r], lp.ineq_rhs[r]
+            else:
+                a, b = lp.eq_lhs[r - self.m1], lp.eq_rhs[r - self.m1]
+            scale = lcm_all([x.denominator for x in a] + [b.denominator])
+            ai = [int(x * scale) for x in a]
+            bi = int(b * scale)
+            t = F(scale)
+            if bi < 0:
+                ai = [-x for x in ai]
+                bi = -bi
+                t = -t
+            row = [0] * (self.ncols + 1)
+            for k, (j, sg) in enumerate(self.tcols):
+                row[k] = sg * ai[j]
+            if r < self.m1:
+                row[self.nt + r] = 1 if t > 0 else -1
+            row[self.nt + self.ns + r] = 1
+            row[-1] = bi
+            self.rows.append(row)
+            self.rowscale.append(t)
+        self.obj_scale = lcm_all([x.denominator for x in lp.objective] or [1])
+        cint = [int(x * self.obj_scale) for x in lp.objective]
+        self.obj2 = [0] * (self.ncols + 1)
+        for k, (j, sg) in enumerate(self.tcols):
+            self.obj2[k] = sg * cint[j]
+        self.obj1 = [0] * (self.ncols + 1)
+        for row in self.rows:
+            for j in range(self.ncols + 1):
+                self.obj1[j] -= row[j]
+        for r in range(self.m):
+            self.obj1[self.nt + self.ns + r] += 1
+        self.basis = [self.nt + self.ns + r for r in range(self.m)]
+        self.active = [True] * self.m
+        self.den = 1
+
+    def pivot(self, pr, pc):
+        piv = self.rows[pr][pc]
+        den = self.den
+        prow = self.rows[pr]
+        width = self.ncols + 1
+        for row in self.rows + [self.obj1, self.obj2]:
+            if row is prow:
+                continue
+            f = row[pc]
+            for j in range(width):
+                num = row[j] * piv - f * prow[j]
+                assert num % den == 0
+                row[j] = num // den
+        self.den = piv
+        self.basis[pr] = pc
+        if self.den < 0:
+            self.den = -self.den
+            for row in self.rows + [self.obj1, self.obj2]:
+                for j in range(width):
+                    row[j] = -row[j]
+
+    def ratio_row(self, pc):
+        best = None
+        for i in range(self.m):
+            a = self.rows[i][pc]
+            if not self.active[i] or a <= 0:
+                continue
+            key = (self.rows[i][-1], a, self.basis[i], i)
+            if best is None:
+                best = key
+                continue
+            b, _, var, _ = key
+            bb, ba, bvar, _ = best
+            if b * ba < bb * a or (b * ba == bb * a and var < bvar):
+                best = key
+        return None if best is None else best[3]
+
+    def run(self, obj):
+        while True:
+            pc = next((j for j in range(self.nt + self.ns) if obj[j] < 0), None)
+            if pc is None:
+                return None
+            pr = self.ratio_row(pc)
+            if pr is None:
+                return pc
+            self.pivot(pr, pc)
+
+    def point(self):
+        vals = {self.basis[i]: F(self.rows[i][-1], self.den)
+                for i in range(self.m) if self.active[i]}
+        return self.to_vars(vals)
+
+    def to_vars(self, vals):
+        x = [F(0)] * self.lp.dim
+        for k, (j, sg) in enumerate(self.tcols):
+            if vals.get(k):
+                x[j] += sg * vals[k]
+        return tuple(x)
+
+    def multipliers(self, obj, art_cost, unscale):
+        return [(art_cost - F(obj[self.nt + self.ns + r], self.den)) * self.rowscale[r] / unscale
+                for r in range(self.m)]
+
+
+def reference_solve(lp):
+    tab = _ReferenceTableau(lp)
+    assert tab.run(tab.obj1) is None
+    if tab.obj1[-1] != 0:
+        w = tab.multipliers(tab.obj1, 1, F(1))
+        return LpInfeasible(tuple(-w[r] for r in range(tab.m1)),
+                            tuple(-w[tab.m1 + k] for k in range(tab.m2)))
+    for i in range(tab.m):
+        if tab.active[i] and tab.basis[i] >= tab.nt + tab.ns:
+            row = tab.rows[i]
+            pc = next((j for j in range(tab.nt + tab.ns) if row[j] != 0), None)
+            if pc is None:
+                tab.active[i] = False
+            else:
+                tab.pivot(i, pc)
+    col = tab.run(tab.obj2)
+    if col is not None:
+        ray = {col: F(1)}
+        for i in range(tab.m):
+            if tab.active[i]:
+                ray[tab.basis[i]] = F(-tab.rows[i][col], tab.den)
+        return LpUnbounded(tab.to_vars(ray), tab.point())
+    w = tab.multipliers(tab.obj2, 0, F(tab.obj_scale))
+    return LpOptimal(tab.point(), F(-tab.obj2[-1], tab.den) / tab.obj_scale,
+                     tuple(-w[r] for r in range(tab.m1)),
+                     tuple(w[tab.m1 + k] for k in range(tab.m2)))
+
+
+def test_prepared_and_one_shot_match_reference_on_random_lps():
+    statuses = set()
+    for seed in range(3000):
+        lp = random_lp(seed)
+        expected = reference_solve(lp)
+        statuses.add(expected.status)
+        assert solve_lp(lp) == expected, seed
+        # phase one runs on a program with another objective
+        blind = PreparedSystem(replace(lp, objective=zero_vec(lp.dim)))
+        assert blind.solve(lp.objective) == expected, seed
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_set_systems_match_reference_on_probes_and_row_normals():
+    solved = 0
+    for dim, top in ((2, 12), (3, 8), (4, 3)):
+        probes = standard_probes(dim)
+        for seed in range(1, top + 1):
+            for s in random_pair_with_common_point(seed, dim)[:2]:
+                h = s.hrep()
+                objectives = [vneg(g) for g in probes] + [a for a, _ in h.ineqs]
+                for c in objectives:
+                    expected = reference_solve(make_program(c, ineqs=h.ineqs, eqs=h.eqs))
+                    assert s.lp_system().solve(c) == expected, (dim, seed, c)
+                    solved += 1
+    assert solved > 1000
+
+
+def test_infeasible_system_returns_its_farkas_certificate_for_any_objective():
+    # x + y <= 0 and x + y >= 1 cannot both hold
+    lp = make_program([0, 0], ineqs=[((1, 1), 0), ((-1, -1), -1)])
+    system = PreparedSystem(lp)
+    farkas = solve_lp(lp)
+    assert isinstance(farkas, LpInfeasible)
+    for c in [(0, 0), (1, 0), (F(-3, 7), 2), (5, 5)]:
+        out = system.solve(c)
+        assert out == farkas
+        assert verify_certificate(replace(lp, objective=tuple(map(F, c))), out)
+
+
+def test_objective_length_must_match_the_system():
+    system = PreparedSystem(make_program([0, 0], ineqs=[((1, 0), 1)]))
+    with pytest.raises(InputError):
+        system.solve([1])
+    with pytest.raises(InputError):
+        system.solve([1, 0, 0])
+
+
+def test_is_empty_builds_one_tableau(monkeypatch):
+    built = []
+    original = lp_module._Tableau.__init__
+
+    def counting(self, lp):
+        built.append(lp)
+        original(self, lp)
+
+    monkeypatch.setattr(lp_module._Tableau, "__init__", counting)
+    s = ConvexSet.from_hrep(2, ineqs=[((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((1, 1), 5)])
+    for _ in range(5):
+        assert not s.is_empty()
+    empty = ConvexSet.from_hrep(1, ineqs=[((1,), 0), ((-1,), -1)])
+    for _ in range(5):
+        assert empty.is_empty()
+    assert len(built) == 2

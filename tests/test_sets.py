@@ -1,9 +1,14 @@
 """ConvexSet predicates, constructions and canonical forms."""
 import random
+import sys
+import threading
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from polyexact import sets as sets_module
+from polyexact.calculus import support_value
 from polyexact.errors import InputError, PreconditionError
 from polyexact.sets import ConvexSet, ball_inf, make_hrep, make_vrep, sets_equal
 
@@ -202,3 +207,45 @@ def test_core_equals_interior_on_samples():
     for s in shapes:
         for x in pts:
             assert s.interior_contains(x) == s.core_contains(x)
+
+
+def test_lazy_caches_are_built_once_under_threads(monkeypatch):
+    """Four threads race on one fresh row-described set: every answer
+    agrees and the lock lets exactly one prepared system be built."""
+    built = []
+
+    class CountingSystem(sets_module.PreparedSystem):
+        def __init__(self, lp):
+            built.append(lp)
+            time.sleep(0.02)  # widen the window a missing lock would leave open
+            super().__init__(lp)
+
+    def rows():
+        # a redundant row and an implicit equality give canonical_hrep work
+        return [((1, 0), 2), ((-1, 0), 2), ((0, 1), 1), ((0, -1), -1),
+                ((1, 1), 5), ((1, -1), 3)]
+
+    expected = ConvexSet.from_hrep(2, ineqs=rows())
+    want = (expected.is_empty(), support_value(expected, (1, 2)), expected.canonical_hrep())
+    monkeypatch.setattr(sets_module, "PreparedSystem", CountingSystem)
+    s = ConvexSet.from_hrep(2, ineqs=rows())
+    start = threading.Barrier(4)
+    answers = [None] * 4
+
+    def ask(k):
+        start.wait()
+        answers[k] = (s.is_empty(), support_value(s, (1, 2)), s.canonical_hrep())
+
+    threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert answers == [want] * 4
+    assert len(built) == 1
