@@ -20,8 +20,12 @@ Serialization is canonical: sorted keys, two-space indent, every
 rational rendered by its reduced string form. Parsing a canonical
 document and serializing it again reproduces the bytes exactly.
 
-Documents are capped at dimension 8 and 64 rows or generators per set;
+Documents are capped at dimension 8, 64 rows or generators per set, and
+1000 characters per rational literal, string or JSON integer alike;
 larger inputs raise CapacityError before any conversion work starts.
+JSON integers meet the literal cap before int() runs, and one that
+int() still refuses, past the interpreter's digit limit, is a
+FormatError.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from .sets import ConvexSet
 
 MAX_DOC_DIM = 8
 MAX_DOC_ROWS = 64
+MAX_LITERAL_CHARS = 1000
 
 FIXTURE_ENV = "POLYEXACT_FIXTURES"
 
@@ -69,9 +74,26 @@ def _named(table: dict, name: str, what: str):
         raise InputError(f"unknown {what} {name!r}; available: {have}") from None
 
 
+def _check_literal(text: str, where: str) -> None:
+    if len(text) > MAX_LITERAL_CHARS:
+        raise CapacityError(
+            f"{where}: a literal of {len(text)} characters exceeds the cap of {MAX_LITERAL_CHARS}")
+
+
+def _json_int(text: str) -> int:
+    """parse_int hook of json.loads, so the cap comes before int()."""
+    _check_literal(text, "integer")
+    try:
+        return int(text)
+    except ValueError as e:
+        raise FormatError(f"integer: {e}") from e
+
+
 def _rational(value, where: str):
     if isinstance(value, float):
         raise FormatError(f'{where}: decimal numbers are not exact, write "p/q"')
+    if isinstance(value, str):
+        _check_literal(value, where)
     try:
         return frac(value)
     except InputError as e:
@@ -160,7 +182,7 @@ def _parse_vectors(raw, dim: int, where: str) -> list[Vec]:
 
 def parse_document(text: str) -> InstanceDocument:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise FormatError(e.msg, line=e.lineno) from e
     if not isinstance(raw, dict):

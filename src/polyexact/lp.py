@@ -20,8 +20,21 @@ solver:
 
 The solver is a two-phase simplex with Bland's rule on an integer
 tableau: all rows share one positive denominator and pivots use the
-division-free update, so arithmetic stays in plain ints and results are
-bit-for-bit deterministic.
+fraction-free (Bareiss) update, so arithmetic stays in plain ints and
+results are bit-for-bit deterministic.
+
+Columns are numbered as in the textbook layout (a +/- pair per free
+variable, a slack per inequality, an artificial per row), and Bland's
+rule, ratio-test ties and basis ids use those numbers. Fewer columns are
+stored: one per variable, one slack per inequality row, one artificial
+per equality row, and the rhs. The others are read through two
+identities that every pivot preserves: a free variable's minus column is
+its negated plus column, and an inequality row's artificial is its slack
+times that slack's starting sign. A pivot divides only the entries that
+can change: where the pivot row is zero an entry is rescaled by the
+ratio of the new and old denominators, which leaves it untouched when
+the two are equal. Each entry that is divided is checked to divide
+exactly.
 
 Phase one never reads the objective, so it runs once per constraint
 system: PreparedSystem keeps the tableau it leaves and solves each
@@ -131,24 +144,47 @@ class _Tableau:
     """Integer simplex tableau over the constraint rows of a program, all
     rows sharing one positive denominator. The objective row being
     optimized is handed to each pivot, so one tableau serves both
-    phases."""
+    phases.
+
+    Columns are numbered as in the textbook layout, and Bland's rule,
+    ratio-test ties and basis ids all use these numbers: the tcols (a
+    +/- pair for each free variable, one column for a sign-restricted
+    one), then one slack per inequality row, then one artificial per
+    row, then the rhs. Only n + m + 1 columns are stored: one per
+    variable (negated for NONPOS), one slack per inequality row, one
+    artificial per equality row, and the rhs. cols maps each numbered
+    column to (stored column, sign). Two identities cover the columns
+    that are not stored, because every pivot combines whole rows:
+
+    * the minus twin of a free variable is its negated plus column, in
+      every row including the cost rows;
+    * the artificial of inequality row r is s_r times slack r, where
+      s_r = +/-1 is the sign that slack started with. In a cost row its
+      entry is den*c_art + s_r*obj[slack r] instead, which is where
+      row_multipliers reads it.
+
+    Artificials never enter, so every pivot column is stored up to sign.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        # split columns: free variables get a +/- pair
-        self.tcols: list[tuple[int, int]] = []
-        for j, s in enumerate(lp.var_signs):
-            if s >= 0:
-                self.tcols.append((j, 1))
-            if s <= 0:
-                self.tcols.append((j, -1))
+        n = lp.dim
         self.m1 = len(lp.ineq_lhs)
         self.m2 = len(lp.eq_lhs)
         self.m = self.m1 + self.m2
+        self.tcols: list[tuple[int, int]] = []
+        self.cols: list[tuple[int, int]] = []
+        for j, s in enumerate(lp.var_signs):
+            if s >= 0:
+                self.tcols.append((j, 1))
+                self.cols.append((j, 1))
+            if s <= 0:
+                self.tcols.append((j, -1))
+                self.cols.append((j, -1 if s == FREE else 1))
         self.nt = len(self.tcols)
         self.ns = self.m1
-        self.ncols = self.nt + self.ns + self.m
         self.rowscale: list[Fraction] = []  # std row = rowscale * original row
+        self.slack_sign: list[int] = []
         self.rows: list[list[int]] = []
         for r in range(self.m):
             if r < self.m1:
@@ -156,22 +192,20 @@ class _Tableau:
             else:
                 a, b = lp.eq_lhs[r - self.m1], lp.eq_rhs[r - self.m1]
             scale = lcm_all([x.denominator for x in a] + [b.denominator])
-            ai = [int(x * scale) for x in a]
-            bi = int(b * scale)
-            t = Fraction(scale)
-            if bi < 0:
-                ai = [-x for x in ai]
-                bi = -bi
-                t = -t
-            row = [0] * (self.ncols + 1)
-            for k, (j, sg) in enumerate(self.tcols):
-                row[k] = sg * ai[j]
-            if r < self.m1:
-                row[self.nt + r] = 1 if t > 0 else -1
-            row[self.nt + self.ns + r] = 1
-            row[-1] = bi
+            sign = -1 if b < 0 else 1
+            row = [0] * (n + self.m + 1)
+            for j, (x, s) in enumerate(zip(a, lp.var_signs)):
+                row[j] = (-sign if s == NONPOS else sign) * x.numerator * (scale // x.denominator)
+            row[n + r] = sign if r < self.m1 else 1
+            row[-1] = sign * b.numerator * (scale // b.denominator)
             self.rows.append(row)
-            self.rowscale.append(t)
+            self.rowscale.append(Fraction(sign * scale))
+            if r < self.m1:
+                self.slack_sign.append(sign)
+        self.cols += [(n + r, 1) for r in range(self.m1)]  # slacks
+        # artificials: inequality rows read their slack, equality rows are stored
+        self.cols += [(n + r, s) for r, s in enumerate(self.slack_sign)]
+        self.cols += [(n + r, 1) for r in range(self.m1, self.m)]
         self.basis = [self.nt + self.ns + r for r in range(self.m)]
         self.active = [True] * self.m
         self.den = 1
@@ -184,17 +218,18 @@ class _Tableau:
         twin.basis = self.basis[:]
         return twin
 
-    def art_col(self, r: int) -> int:
-        return self.nt + self.ns + r
+    def entry(self, i: int, col: int) -> int:
+        """Row i at numbered column col."""
+        k, sg = self.cols[col]
+        return sg * self.rows[i][k]
 
     def phase_one_row(self) -> list[int]:
         """Cost row of the sum of the artificials in the starting basis."""
-        obj = [0] * (self.ncols + 1)
+        obj = [0] * (self.lp.dim + self.m + 1)
         for row in self.rows:
-            for j in range(self.ncols + 1):
-                obj[j] -= row[j]
-        for r in range(self.m):
-            obj[self.art_col(r)] += 1
+            obj = [o - x for o, x in zip(obj, row)]
+        for r in range(self.m1, self.m):
+            obj[self.lp.dim + r] += 1
         return obj
 
     def objective_row(self, objective: Vec) -> tuple[int, list[int]]:
@@ -205,47 +240,55 @@ class _Tableau:
         column and differs from den*c by a combination of the rows, which
         pins it down; this is that row, computed exactly."""
         scale = lcm_all([x.denominator for x in objective] or [1])
-        c = [0] * (self.ncols + 1)
-        for k, (j, sg) in enumerate(self.tcols):
-            c[k] = sg * int(objective[j] * scale)
+        c = [0] * (len(objective) + self.m + 1)
+        for j, (x, s) in enumerate(zip(objective, self.lp.var_signs)):
+            c[j] = (-1 if s == NONPOS else 1) * x.numerator * (scale // x.denominator)
         obj = [self.den * x for x in c]
-        for i, row in enumerate(self.rows):
-            cb = c[self.basis[i]]
-            if cb:
-                for j in range(self.ncols + 1):
-                    obj[j] -= cb * row[j]
+        for row, b in zip(self.rows, self.basis):
+            if b < self.nt:
+                k, sg = self.cols[b]
+                cb = sg * c[k]
+                if cb:
+                    obj = [o - cb * x for o, x in zip(obj, row)]
         return scale, obj
 
     def _pivot(self, pr: int, pc: int, obj: list[int] | None) -> None:
-        piv = self.rows[pr][pc]
-        den = self.den
+        """Fraction-free pivot on (pr, pc); the new denominator is the
+        absolute pivot, with the sign folded into the update. Only
+        entries that can change are divided: where the pivot row is zero
+        an entry is just rescaled by |piv|/den, a no-op when that is 1."""
+        k, sg = self.cols[pc]
         prow = self.rows[pr]
-        width = self.ncols + 1
-        rows = self.rows if obj is None else self.rows + [obj]
-        for row in rows:
+        piv = sg * prow[k]
+        den = self.den
+        flip = -sg if piv < 0 else sg  # pivot-column sign times the sign of piv
+        apiv = abs(piv)
+        nz = [(j, p) for j, p in enumerate(prow) if p]
+        for row in (self.rows if obj is None else self.rows + [obj]):
             if row is prow:
                 continue
-            f = row[pc]
+            f = flip * row[k]
             if f:
-                for j in range(width):
-                    row[j] = _exact_div(row[j] * piv - f * prow[j], den)
-            elif piv != den:
-                for j in range(width):
-                    row[j] = _exact_div(row[j] * piv, den)
-        self.den = piv
+                if apiv == den:
+                    for j, p in nz:
+                        row[j] -= _exact_div(f * p, den)
+                else:
+                    row[:] = [_exact_div(x * apiv - f * p, den) if x or p else 0
+                              for x, p in zip(row, prow)]
+            elif apiv != den:
+                row[:] = [_exact_div(x * apiv, den) if x else 0 for x in row]
+        if piv < 0:
+            prow[:] = [-x for x in prow]
+        self.den = apiv
         self.basis[pr] = pc
-        if self.den < 0:
-            self.den = -self.den
-            for row in rows:
-                for j in range(width):
-                    row[j] = -row[j]
 
     def _ratio_row(self, pc: int) -> int | None:
+        k, sg = self.cols[pc]
         best = None
         for i in range(self.m):
             if not self.active[i]:
                 continue
-            a = self.rows[i][pc]
+            a = sg * self.rows[i][k]
             if a <= 0:
                 continue
             b = self.rows[i][-1]
@@ -259,11 +302,12 @@ class _Tableau:
                 best = (b, a, self.basis[i], i)
         return best[3] if best is not None else None
 
-    def _run(self, obj: list[int], n_enter: int) -> int | None:
-        """Bland's rule until optimal (returns None) or unbounded
-        (returns the entering column)."""
+    def _run(self, obj: list[int]) -> int | None:
+        """Bland's rule over the variable and slack columns until optimal
+        (returns None) or unbounded (returns the entering column)."""
+        enter = self.cols[:self.nt + self.ns]
         while True:
-            pc = next((j for j in range(n_enter) if obj[j] < 0), None)
+            pc = next((j for j, (k, sg) in enumerate(enter) if sg * obj[k] < 0), None)
             if pc is None:
                 return None
             pr = self._ratio_row(pc)
@@ -272,13 +316,14 @@ class _Tableau:
             self._pivot(pr, pc, obj)
 
     def _drive_out_artificials(self) -> None:
+        enter = self.cols[:self.nt + self.ns]
         for i in range(self.m):
             if not self.active[i]:
                 continue
             if self.basis[i] < self.nt + self.ns:
                 continue
             row = self.rows[i]
-            pc = next((j for j in range(self.nt + self.ns) if row[j] != 0), None)
+            pc = next((j for j, (k, _) in enumerate(enter) if row[k] != 0), None)
             if pc is None:
                 self.active[i] = False
             else:
@@ -298,16 +343,23 @@ class _Tableau:
 
     def row_multipliers(self, obj: list[int], art_cost: int, unscale: Fraction) -> list[Fraction]:
         """Multipliers on the original rows proving the current reduced
-        costs, read off the artificial columns of an objective row.
+        costs, art_cost - obj[art r]/den, read off the artificial columns
+        of an objective row whose artificials all cost art_cost.
 
         The artificial block started as the identity, so it records the
         row operations applied so far; rows dropped as redundant still
         participate and their multipliers stay sign-safe because their
-        slack columns kept nonnegative reduced costs.
+        slack columns kept nonnegative reduced costs. For an inequality
+        row the identity obj[art r] = den*art_cost + s_r*obj[slack r]
+        turns this into -s_r*obj[slack r]/den in both phases.
         """
+        n = self.lp.dim
         out = []
         for r in range(self.m):
-            y_std = art_cost - Fraction(obj[self.art_col(r)], self.den)
+            if r < self.m1:
+                y_std = Fraction(-self.slack_sign[r] * obj[n + r], self.den)
+            else:
+                y_std = art_cost - Fraction(obj[n + r], self.den)
             out.append(y_std * self.rowscale[r] / unscale)
         return out
 
@@ -318,7 +370,7 @@ def _phase_one(lp: LinearProgram) -> _Tableau | LpInfeasible:
     here never reads lp.objective."""
     tab = _Tableau(lp)
     obj = tab.phase_one_row()
-    if tab._run(obj, tab.nt + tab.ns) is not None:
+    if tab._run(obj) is not None:
         raise InternalError("phase one cannot be unbounded")
     if obj[-1] != 0:
         # positive infeasibility gap; multipliers give a Farkas witness
@@ -337,12 +389,12 @@ def _phase_two(tab: _Tableau, lp: LinearProgram) -> LpOutcome:
     """Optimize lp.objective from the phase-one basis in tab, which this
     pivots; the certificate is verified against lp before return."""
     scale, obj = tab.objective_row(lp.objective)
-    unbounded_col = tab._run(obj, tab.nt + tab.ns)
+    unbounded_col = tab._run(obj)
     if unbounded_col is not None:
         ray_t = {unbounded_col: Fraction(1)}
         for i in range(tab.m):
             if tab.active[i]:
-                ray_t[tab.basis[i]] = Fraction(-tab.rows[i][unbounded_col], tab.den)
+                ray_t[tab.basis[i]] = Fraction(-tab.entry(i, unbounded_col), tab.den)
         ray = [Fraction(0)] * lp.dim
         for k, (j, sg) in enumerate(tab.tcols):
             v = ray_t.get(k)

@@ -129,6 +129,16 @@ def test_unknown_fixture_exits_2(capsys):
     assert "fixtures:" in err
 
 
+def test_oversized_json_number_exits_2(capsys, tmp_path):
+    # past the 4300 digits int() converts by default
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"sets": {"a": {"kind": "hrep", "dim": 1, '
+                   '"ineqs": [{"normal": ["1"], "rhs": %s}]}}}' % ("1" * 4301))
+    code, _, err = run(capsys, "support", str(doc), "a", "1")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_bad_rational_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check-extremal", "halfplanes", "lower", "upper",

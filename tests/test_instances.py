@@ -1,11 +1,13 @@
 """Instance document parsing, canonical serialization, and fixtures."""
 import json
+import sys
 
 import pytest
 
 from polyexact.errors import CapacityError, FormatError, InputError
 from polyexact.instances import (
     MAX_DOC_ROWS,
+    MAX_LITERAL_CHARS,
     fixture_names,
     load_instance,
     parse_document,
@@ -156,6 +158,33 @@ def test_point_length_cap():
     text = '{"points": {"p": [%s]}}' % ",".join(['"1"'] * 9)
     with pytest.raises(CapacityError):
         parse_document(text)
+
+
+def _one_row_set(rhs: str) -> str:
+    return '{"sets": {"s": {"kind": "hrep", "dim": 1, "ineqs": [{"normal": ["1"], "rhs": %s}]}}}' % rhs
+
+
+def test_literal_length_cap():
+    longest = "1" * MAX_LITERAL_CHARS
+    for rhs in ('"%s"' % longest, longest):
+        doc = parse_document(_one_row_set(rhs))
+        assert doc.get_set("s").hrep().ineqs[0][1] == int(longest)
+    with pytest.raises(CapacityError, match="set 's'"):
+        parse_document(_one_row_set('"1/%s"' % longest))
+    with pytest.raises(CapacityError, match="cap"):
+        parse_document(_one_row_set("1" + longest))
+
+
+def test_integer_past_the_interpreter_digit_limit_is_a_format_error():
+    # the literal cap sits below the default limit of 4300 digits; an
+    # interpreter may run with a lower one, down to 640
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(FormatError, match="integer"):
+            parse_document(_one_row_set("1" * 641))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parse_vector_literals():

@@ -12,9 +12,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from polyexact import calculus, cones
 from polyexact import lp as lp_module
-from polyexact.calculus import standard_probes
-from polyexact.errors import InputError
+from polyexact.calculus import difference_interiority, standard_probes
+from polyexact.cones import normal_cone
+from polyexact.errors import InputError, InternalError
 from polyexact.linalg import lcm_all, vneg, zero_vec
 from polyexact.lp import (
     FREE,
@@ -328,17 +330,120 @@ def reference_solve(lp):
                      tuple(w[tab.m1 + k] for k in range(tab.m2)))
 
 
+def _matches_reference(lp):
+    """The outcome reference_solve gives, after checking that solve_lp
+    and a prepared system give it too."""
+    expected = reference_solve(lp)
+    assert solve_lp(lp) == expected, lp
+    # phase one runs on a program with another objective
+    blind = PreparedSystem(replace(lp, objective=zero_vec(lp.dim)))
+    assert blind.solve(lp.objective) == expected, lp
+    return expected
+
+
 def test_prepared_and_one_shot_match_reference_on_random_lps():
     statuses = set()
     for seed in range(3000):
-        lp = random_lp(seed)
-        expected = reference_solve(lp)
-        statuses.add(expected.status)
-        assert solve_lp(lp) == expected, seed
-        # phase one runs on a program with another objective
-        blind = PreparedSystem(replace(lp, objective=zero_vec(lp.dim)))
-        assert blind.solve(lp.objective) == expected, seed
+        statuses.add(_matches_reference(random_lp(seed)).status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def _signed_lp(seed):
+    lp = random_lp(seed)
+    signs = tuple((NONNEG, NONPOS, FREE)[(seed + j) % 3] for j in range(lp.dim))
+    return replace(lp, var_signs=signs)
+
+
+def _with_dependent_equalities(lp):
+    """lp with its first row added as an equality twice, once as is and
+    once times -3, so a feasible program drops a row as inactive."""
+    a, b = (lp.ineq_lhs + lp.eq_lhs)[0], (lp.ineq_rhs + lp.eq_rhs)[0]
+    return replace(lp, eq_lhs=lp.eq_lhs + (a, tuple(-3 * x for x in a)),
+                   eq_rhs=lp.eq_rhs + (b, -3 * b))
+
+
+def _with_negated_rhs(lp):
+    return replace(lp, ineq_rhs=vneg(lp.ineq_rhs), eq_rhs=vneg(lp.eq_rhs))
+
+
+def _recorded_programs(monkeypatch, module, run):
+    """The programs module hands to solve_lp while run() executes."""
+    seen = []
+
+    def record(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "solve_lp", record)
+        run()
+    return seen
+
+
+def _corner_programs(monkeypatch, dim, seeds):
+    """The reach programs of difference_interiority on random pairs."""
+    def run():
+        for seed in seeds:
+            s1, s2, _ = random_pair_with_common_point(seed, dim)
+            difference_interiority(s1, s2)
+    return _recorded_programs(monkeypatch, calculus, run)
+
+
+def _conic_programs(monkeypatch, dim, seeds):
+    """The membership programs of normal_cone at each pair's anchor."""
+    def run():
+        for seed in seeds:
+            s1, s2, anchor = random_pair_with_common_point(seed, dim)
+            normal_cone(s1, anchor)
+            normal_cone(s2, anchor)
+    return _recorded_programs(monkeypatch, cones, run)
+
+
+def _library_programs(monkeypatch):
+    corners = (_corner_programs(monkeypatch, 2, range(1, 13))
+               + _corner_programs(monkeypatch, 3, range(1, 7))
+               + _corner_programs(monkeypatch, 4, range(1, 3)))
+    conic = [lp for dim in (2, 3, 4) for lp in _conic_programs(monkeypatch, dim, range(1, 9))]
+    assert len(corners) > 100 and len(conic) > 100
+    return corners + conic
+
+
+ALL_STATUSES = {"optimal", "infeasible", "unbounded"}
+MORE_PROGRAMS = {
+    # corpus: (programs, statuses they must reach)
+    "signed": (lambda _: [_signed_lp(seed) for seed in range(1500)], ALL_STATUSES),
+    "dependent": (lambda _: [_with_dependent_equalities(lp) for seed in range(600)
+                             for lp in (random_lp(seed), _signed_lp(seed))], ALL_STATUSES),
+    "negated_rhs": (lambda _: [_with_negated_rhs(_signed_lp(seed)) for seed in range(1000)],
+                    ALL_STATUSES),
+    "empty": (lambda _: [
+        make_program([]),
+        make_program([0, 0]),
+        make_program([1, -1]),
+        make_program([1, 2], signs=[NONNEG, NONNEG]),
+        make_program([-1, 1], signs=[NONPOS, NONNEG]),
+        make_program([1], signs=[NONPOS]),
+    ], {"optimal", "unbounded"}),
+    "library": (_library_programs, {"optimal", "infeasible"}),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(MORE_PROGRAMS))
+def test_prepared_and_one_shot_match_reference_on_more_programs(corpus, monkeypatch):
+    build, statuses = MORE_PROGRAMS[corpus]
+    programs = build(monkeypatch)
+    assert {_matches_reference(lp).status for lp in programs} == statuses
+
+
+def test_dependent_equalities_leave_inactive_rows():
+    # so the dependent corpus above reaches rows dropped by the drive-out
+    feasible = []
+    for seed in range(600):
+        tab = lp_module._phase_one(_with_dependent_equalities(_signed_lp(seed)))
+        if isinstance(tab, lp_module._Tableau):
+            feasible.append(tab)
+    assert len(feasible) > 200
+    assert not any(all(tab.active) for tab in feasible)
 
 
 def test_set_systems_match_reference_on_probes_and_row_normals():
@@ -392,3 +497,52 @@ def test_is_empty_builds_one_tableau(monkeypatch):
     for _ in range(5):
         assert empty.is_empty()
     assert len(built) == 2
+
+
+# -- the integer pivot ----------------------------------------------------------
+
+def _after_one_pivot():
+    """x enters at row 0, so the denominator becomes 2. Stored columns:
+    x, y, the four slacks, the rhs."""
+    lp = make_program([0, 0], ineqs=[((2, 1), 4), ((1, 1), 3), ((1, 3), 5), ((4, 2), 9)])
+    tab = lp_module._Tableau(lp)
+    tab._pivot(0, 0, None)
+    assert tab.den == 2
+    assert tab.rows == [[2, 1, 1, 0, 0, 0, 4], [0, 1, -1, 2, 0, 0, 2],
+                        [0, 5, -1, 0, 2, 0, 6], [0, 0, -4, 0, 0, 2, 2]]
+    return tab
+
+
+@pytest.mark.parametrize("row, col, pc", [
+    (0, 3, 5),   # piv == den: row 0 now meets the entering slack 1
+    (0, 6, 2),   # piv != den, on a row the pivot column crosses
+    (3, 5, 2),   # piv != den, on a row it leaves alone
+])
+def test_corrupted_entry_breaks_exactness(row, col, pc):
+    clean = _after_one_pivot()
+    clean._pivot(1, pc, None)
+    tab = _after_one_pivot()
+    tab.rows[row][col] += 1
+    with pytest.raises(InternalError, match="integer pivot lost exactness"):
+        tab._pivot(1, pc, None)
+
+
+def test_pivot_counts_are_pinned(monkeypatch):
+    # counted with the dense tableau: the layout changed the work per
+    # pivot, not the pivots
+    corners = _corner_programs(monkeypatch, 4, (1, 2))
+    pivots = []
+    original = lp_module._Tableau._pivot
+
+    def counting(self, pr, pc, obj):
+        pivots.append((pr, pc))
+        original(self, pr, pc, obj)
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", counting)
+    for seed in range(1000):
+        solve_lp(random_lp(seed))
+    assert len(pivots) == 3825
+    pivots.clear()
+    for lp in corners:
+        solve_lp(lp)
+    assert (len(corners), len(pivots)) == (32, 1441)
