@@ -11,12 +11,16 @@ supports, with witnesses that attain the convolution exactly.
 
 Every verdict is an exact rational computation: interiority claims are
 certified by corner decompositions of a small cube, and both sides of
-each identity come from independently solved linear programs.
+each identity come from independently solved linear programs. The
+reach programs behind those decompositions depend only on the pair and
+the direction, so each is solved once per pair and kept on the first
+set (see ConvexSet.cached_with).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil
 
 from .cones import (
@@ -112,18 +116,33 @@ def _reach_along(s1: ConvexSet, s2: ConvexSet, direction: Vec):
     raise InternalError("a reach capped at one cannot be unbounded")
 
 
+def _pair_reach(s1: ConvexSet, s2: ConvexSet, direction: Vec):
+    """_reach_along for the pair itself, solved once per direction and
+    kept on s1 for its last partner. Both row descriptions are derived
+    first, so the solve, which runs under s1's lock, never waits on the
+    lock of s2."""
+    s1.hrep()
+    s2.hrep()
+    return s1.cached_with(s2, ("reach", direction),
+                          lambda: _reach_along(s1, s2, direction))
+
+
 def _corner_decompositions(s1: ConvexSet, s2: ConvexSet, window: ConvexSet | None = None):
     """Reach along every sign corner of the unit cube, with maximizing
-    pairs. The window, when given, restricts the second set. Returns
+    pairs. The window, when given, restricts the second set; windowed
+    reaches are solved afresh, since each window is a new set. Returns
     None as soon as some corner has reach zero; all corners positive
     certifies the origin interior to the (windowed) difference, since
     the hull of the reached corners contains a cube."""
     dim = s1.dim
-    t2 = s2.intersect(window) if window is not None else s2
+    if window is None:
+        reach = partial(_pair_reach, s1, s2)
+    else:
+        reach = partial(_reach_along, s1, s2.intersect(window))
     out = []
     for bits in range(1 << dim):
         c = tuple(ONE if bits >> j & 1 else -ONE for j in range(dim))
-        delta, x1, x2 = _reach_along(s1, t2, c)
+        delta, x1, x2 = reach(c)
         if delta == 0:
             return None
         out.append((c, delta, x1, x2))
@@ -134,7 +153,9 @@ def difference_interiority(s1: ConvexSet, s2: ConvexSet) -> Fraction | None:
     """Certified sup-norm radius of a box around the origin inside
     s1 - s2, or None when the origin is not interior to the difference.
     The difference set is never materialized; each corner of the box is
-    reached by its own decomposition program."""
+    reached by its own decomposition program. Reaches are shared per
+    pair: asking again, or asking qualification_report about the same
+    pair, solves no corner program twice."""
     check_same_dim(s1, s2)
     corners = _corner_decompositions(s1, s2)
     if corners is None:
@@ -146,13 +167,15 @@ def core_at_zero(s1: ConvexSet, s2: ConvexSet) -> bool:
     """Whether the origin lies in the core of s1 - s2: the difference
     contains the origin and absorbs every signed coordinate direction.
     Convexity then absorbs all directions, so this matches the
-    definitional core test on the materialized difference."""
+    definitional core test on the materialized difference. The axis
+    reaches are shared per pair, like the corner reaches of
+    difference_interiority."""
     check_same_dim(s1, s2)
     if common_point(s1, s2) is None:
         return False
     for i in range(s1.dim):
         for sign in (1, -1):
-            delta, _, _ = _reach_along(s1, s2, unit_vec(s1.dim, i, sign))
+            delta, _, _ = _pair_reach(s1, s2, unit_vec(s1.dim, i, sign))
             if delta == 0:
                 return False
     return True

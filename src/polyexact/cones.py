@@ -176,11 +176,17 @@ def normal_cone(s: ConvexSet, x) -> PolyhedralCone:
     With a row description this is the cone of the active normals; with
     generators it is the set of functionals maximized over the set at x,
     computed by the double description method on the shifted generators.
+    Cones are cached on the set per point (see ConvexSet.cached), so
+    asking again at the same point canonicalizes nothing.
     """
+    x = vec(x)
+    return s.cached(("normal_cone", x), lambda: _build_normal_cone(s, x))
+
+
+def _build_normal_cone(s: ConvexSet, x: Vec) -> PolyhedralCone:
     if s._hrep is not None:
         rows = s.active_rows(x)
         return make_cone(s.dim, rows)
-    x = vec(x)
     if not s.contains(x):
         raise PreconditionError("point is not in the set")
     v = s._vrep

@@ -25,7 +25,7 @@ Documents are capped at dimension 8, 64 rows or generators per set, and
 larger inputs raise CapacityError before any conversion work starts.
 JSON integers meet the literal cap before int() runs, and one that
 int() still refuses, past the interpreter's digit limit, is a
-FormatError.
+FormatError, as is nesting deeper than the JSON decoder can recurse.
 """
 from __future__ import annotations
 
@@ -185,6 +185,8 @@ def parse_document(text: str) -> InstanceDocument:
         raw = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise FormatError(e.msg, line=e.lineno) from e
+    except RecursionError as e:
+        raise FormatError("arrays or objects nested too deeply") from e
     if not isinstance(raw, dict):
         raise FormatError("top level must be an object")
     unknown = set(raw) - {"sets", "points", "functionals"}

@@ -3,13 +3,22 @@
 A ConvexSet wraps one or both descriptions of the same polyhedron: rows
 (HRep) and generators (VRep). Predicates prefer whichever raw form
 answers directly; the missing form is derived on first use and cached
-behind a lock. The rows' prepared LP system (simplex phase one, run
-once; see lp.PreparedSystem) and the emptiness answer are derived the
-same way, so support values, emptiness and the row-promotion LPs of
-canonicalization share one phase one. Canonicalization promotes
-implicit equalities, reduces inequality rows modulo the equality space,
-rescales, deduplicates, prunes rows that other rows imply, and sorts,
-so equal sets have equal canonical forms and reports stay byte-stable.
+behind a lock. Canonicalization promotes implicit equalities, reduces
+inequality rows modulo the equality space, rescales, deduplicates,
+prunes rows that other rows imply, and sorts, so equal sets have equal
+canonical forms and reports stay byte-stable.
+
+Sets are immutable, so what is derived from them is kept on them.
+cached() holds results of one set by key: the prepared LP system of the
+rows (simplex phase one, run once; see lp.PreparedSystem), the
+emptiness answer, the canonical forms and the normal cone at each point
+asked. Support values, emptiness and the row-promotion LPs of
+canonicalization so share one phase one. cached_with() holds results of
+a pair for the set's last partner, compared by identity: the difference
+set and the reach programs along the cube's corners and axes. Every
+question asked of one pair then shares one A - B, with its rows,
+canonical form and prepared LP system, and solves each reach program
+once.
 """
 from __future__ import annotations
 
@@ -113,10 +122,9 @@ class ConvexSet:
         self.dim = hrep.dim if hrep is not None else vrep.dim
         self._hrep = hrep
         self._vrep = vrep
-        self._canonical_hrep: HRep | None = None
-        self._canonical_vrep: VRep | None = None
-        self._lp_system: PreparedSystem | None = None
-        self._empty: bool | None = None
+        self._memo: dict = {}
+        self._partner: ConvexSet | None = None
+        self._partner_memo: dict = {}
         self._lock = threading.RLock()
 
     @classmethod
@@ -159,13 +167,36 @@ class ConvexSet:
     def lp_system(self) -> PreparedSystem:
         """The rows of hrep() after simplex phase one; every LP over
         exactly these rows solves through it."""
-        if self._lp_system is None:
+        def build():
+            h = self.hrep()
+            return PreparedSystem(make_program(zero_vec(self.dim), ineqs=h.ineqs, eqs=h.eqs))
+        return self.cached("lp_system", build)
+
+    def cached(self, key, build):
+        """build(), run once per key and kept on the set, for a result
+        that depends on nothing but the set and the key. build runs under
+        the set's lock, so it may derive the set's own descriptions but
+        must never wait on another set's lock."""
+        memo = self._memo
+        if key not in memo:
             with self._lock:
-                if self._lp_system is None:
-                    h = self.hrep()
-                    lp = make_program(zero_vec(self.dim), ineqs=h.ineqs, eqs=h.eqs)
-                    self._lp_system = PreparedSystem(lp)
-        return self._lp_system
+                if key not in memo:
+                    memo[key] = build()
+        return memo[key]
+
+    def cached_with(self, other: "ConvexSet", key, build):
+        """As cached(), for a result that also depends on a partner set.
+        Results are kept for the last partner only, which is compared by
+        identity and held, so the questions asked of one pair share their
+        work and a set never accumulates partners."""
+        with self._lock:
+            if self._partner is not other:
+                self._partner = other
+                self._partner_memo = {}
+            memo = self._partner_memo
+            if key not in memo:
+                memo[key] = build()
+            return memo[key]
 
     # -- basic predicates ---------------------------------------------------
 
@@ -219,12 +250,10 @@ class ConvexSet:
     def is_empty(self) -> bool:
         if self._vrep is not None:
             return not self._vrep.vertices
-        if self._empty is None:
-            with self._lock:
-                if self._empty is None:
-                    out = self.lp_system().solve(zero_vec(self.dim))
-                    self._empty = not isinstance(out, (LpOptimal, LpUnbounded))
-        return self._empty
+        def build():
+            out = self.lp_system().solve(zero_vec(self.dim))
+            return not isinstance(out, (LpOptimal, LpUnbounded))
+        return self.cached("empty", build)
 
     def is_bounded(self) -> bool:
         if self.is_empty():
@@ -313,35 +342,27 @@ class ConvexSet:
         a, b = self.vrep(), other.vrep()
         if not a.vertices or not b.vertices:
             return ConvexSet(vrep=VRep(self.dim, (), ()))
-        seen = []
-        for p in a.vertices:
-            for q in b.vertices:
-                s = vadd(p, q)
-                if s not in seen:
-                    seen.append(s)
-        rays = []
-        for r in a.rays + b.rays:
-            if r not in rays:
-                rays.append(r)
-        return ConvexSet(vrep=VRep(self.dim, tuple(seen), tuple(rays)))
+        # dict.fromkeys deduplicates and keeps the first-seen order
+        sums = dict.fromkeys(vadd(p, q) for p in a.vertices for q in b.vertices)
+        rays = dict.fromkeys(a.rays + b.rays)
+        return ConvexSet(vrep=VRep(self.dim, tuple(sums), tuple(rays)))
 
     def difference(self, other: "ConvexSet") -> "ConvexSet":
-        """The set of pairwise differences self - other."""
-        return self.minkowski(other.negate())
+        """The set of pairwise differences self - other.
+
+        Built once for the last partner and kept (see cached_with), so
+        every question about one pair shares this set and its lazily
+        derived forms. The build holds only this set's lock: other is
+        read through negate(), whose fresh set no other caller can lock."""
+        return self.cached_with(other, "difference", lambda: self.minkowski(other.negate()))
 
     # -- canonical forms ----------------------------------------------------
 
     def canonical_hrep(self) -> HRep:
-        with self._lock:
-            if self._canonical_hrep is None:
-                self._canonical_hrep = self._build_canonical_hrep()
-            return self._canonical_hrep
+        return self.cached("canonical_hrep", self._build_canonical_hrep)
 
     def canonical_vrep(self) -> VRep:
-        with self._lock:
-            if self._canonical_vrep is None:
-                self._canonical_vrep = self._build_canonical_vrep()
-            return self._canonical_vrep
+        return self.cached("canonical_vrep", self._build_canonical_vrep)
 
     def _build_canonical_hrep(self) -> HRep:
         h = self.hrep()

@@ -139,6 +139,14 @@ def test_oversized_json_number_exits_2(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_deeply_nested_document_exits_2(capsys, tmp_path):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, "support", str(doc), "a", "1")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_bad_rational_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check-extremal", "halfplanes", "lower", "upper",

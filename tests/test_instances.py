@@ -187,6 +187,15 @@ def test_integer_past_the_interpreter_digit_limit_is_a_format_error():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("doc", [
+    "[" * 100000 + "]" * 100000,
+    '{"sets": ' + '{"a": ' * 100000 + "{}" + "}" * 100001,
+], ids=["arrays", "objects"])
+def test_deeply_nested_document_is_a_format_error(doc):
+    with pytest.raises(FormatError, match="nested too deeply"):
+        parse_document(doc)
+
+
 def test_parse_vector_literals():
     assert parse_vector("1/2,-1") == vec(("1/2", "-1"))
     assert parse_vector("(0, 1)") == vec((0, 1))

@@ -1,0 +1,110 @@
+"""Each pair's work is done once: the difference set, the unwindowed
+reach programs and the normal cones are built once per suite task and
+shared by every question asked of the pair."""
+import sys
+
+import pytest
+
+from polyexact import calculus, cones, suite
+from polyexact.sets import ConvexSet
+
+SLICE = dict(dims=(2,), seed_range=(1, 12), lp_count=90, boundary_count=9)
+
+
+def _rebind(monkeypatch, module, name, wrapper):
+    """Replace a function in every polyexact module that imported it by
+    name, as well as in its home module."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not mod_name.startswith("polyexact"):
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, wrapper)
+
+
+class Counts:
+    """Counting wrappers on minkowski, _reach_along, normal_cone and
+    make_cone. Arguments are kept alive, so object identities stay
+    unique for the whole run."""
+
+    def __init__(self, monkeypatch):
+        self.minkowski = 0
+        self.reaches = []
+        self.make_cone = 0
+        self.cone_builds = []
+        self._in_normal_cone = []
+        minkowski = ConvexSet.minkowski
+        reach = calculus._reach_along
+        make_cone = cones.make_cone
+        normal_cone = cones.normal_cone
+
+        def counted_minkowski(s, other):
+            self.minkowski += 1
+            return minkowski(s, other)
+
+        def counted_reach(s1, s2, direction):
+            self.reaches.append((s1, s2, direction))
+            return reach(s1, s2, direction)
+
+        def counted_make_cone(*args, **kwargs):
+            self.make_cone += 1
+            if self._in_normal_cone:
+                self.cone_builds.append(self._in_normal_cone[-1])
+            return make_cone(*args, **kwargs)
+
+        def counted_normal_cone(s, x):
+            self._in_normal_cone.append((s, tuple(x)))
+            try:
+                return normal_cone(s, x)
+            finally:
+                self._in_normal_cone.pop()
+
+        monkeypatch.setattr(ConvexSet, "minkowski", counted_minkowski)
+        _rebind(monkeypatch, calculus, "_reach_along", counted_reach)
+        _rebind(monkeypatch, cones, "make_cone", counted_make_cone)
+        _rebind(monkeypatch, cones, "normal_cone", counted_normal_cone)
+
+
+@pytest.mark.parametrize("task", [
+    ("pair", 2, 1),  # extremal: the approximate principle runs at 4 epsilons
+    ("pair", 2, 2),
+    ("fixture", "halfplanes"),
+    ("fixture", "boxes-overlap"),
+], ids=["pair-1", "pair-2", "halfplanes", "boxes-overlap"])
+def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
+    counts = Counts(monkeypatch)
+    instances = []
+    task_instance = suite._task_instance
+
+    def recorded(t):
+        out = task_instance(t)
+        instances.append(out)
+        return out
+
+    monkeypatch.setattr(suite, "_task_instance", recorded)
+    record = suite._run_task(task)
+    assert record["violations"] == []
+
+    # one A - B per task, shared by every question about the pair
+    assert counts.minkowski == 1
+    # unwindowed reaches run on the task's own sets; none repeats
+    _, s1, s2, _ = instances[0]
+    own = [d for a, b, d in counts.reaches if a is s1 and b is s2]
+    assert own
+    assert len(own) == len(set(own))
+    # a normal cone is canonicalized at most once per set and point
+    builds = [(id(s), x) for s, x in counts.cone_builds]
+    assert builds
+    assert len(builds) == len(set(builds))
+
+
+def test_slice_counts_are_pinned(monkeypatch):
+    """Counts on the 12-seed planar slice: 18 Minkowski sums (one per
+    pair task), 145 reach programs and 91 canonicalized cones. Before
+    the sharing they were 64, 302 and 327."""
+    counts = Counts(monkeypatch)
+    assert suite.run_suite(**SLICE).ok
+    assert counts.minkowski == 18
+    assert len(counts.reaches) == 145
+    assert counts.make_cone == 91

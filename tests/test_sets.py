@@ -7,9 +7,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from polyexact import calculus
 from polyexact import sets as sets_module
-from polyexact.calculus import support_value
+from polyexact.calculus import core_at_zero, difference_interiority, support_value
 from polyexact.errors import InputError, PreconditionError
+from polyexact.extremality import is_extremal_system
 from polyexact.sets import ConvexSet, ball_inf, make_hrep, make_vrep, sets_equal
 
 
@@ -249,3 +251,80 @@ def test_lazy_caches_are_built_once_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert answers == [want] * 4
     assert len(built) == 1
+
+
+def _square_and_triangle():
+    square = ConvexSet.from_vrep(2, vertices=[(0, 0), (2, 0), (0, 2), (2, 2)])
+    triangle = ConvexSet.from_vrep(2, vertices=[(1, 1), (3, 1), (1, 3)])
+    return square, triangle
+
+
+def test_difference_follows_the_last_partner():
+    a = unit_square()
+    b = ConvexSet.from_vrep(2, vertices=[(1, 1), (3, 1), (1, 3)])
+    c = ConvexSet.from_hrep(2, ineqs=[((1, 0), 5), ((-1, 0), -4), ((0, 1), 1), ((0, -1), 1)])
+    for x in (b, c, b):
+        d = a.difference(x)
+        assert sets_equal(d, a.minkowski(x.negate()))
+        assert a.difference(x) is d
+    # a partner equal to b but a distinct object gets its own, correct set
+    twin = ConvexSet.from_hrep(2, ineqs=b.canonical_hrep().ineqs)
+    assert sets_equal(a.difference(twin), a.minkowski(b.negate()))
+
+
+def test_verdict_shares_the_difference():
+    a, b = _square_and_triangle()
+    assert is_extremal_system(a, b).difference is a.difference(b)
+
+
+def test_pair_caches_are_built_once_under_threads(monkeypatch):
+    """Four threads ask (s1, s2) and (s2, s1) of generator-described
+    sets, whose rows must be derived first: no deadlock, every answer
+    equals the serial one, one A - B per ordered pair and no reach
+    program solved twice."""
+    def answers(a, b):
+        return (a.difference(b).canonical_hrep(), difference_interiority(a, b),
+                core_at_zero(a, b))
+
+    s1, s2 = _square_and_triangle()
+    want = [answers(s1, s2), answers(s2, s1)]
+    built = []
+    reaches = []
+    minkowski = ConvexSet.minkowski
+    reach = calculus._reach_along
+
+    def counted_minkowski(s, other):
+        built.append(s)
+        time.sleep(0.02)  # widen the window a missing lock would leave open
+        return minkowski(s, other)
+
+    def counted_reach(a, b, direction):
+        reaches.append((id(a), id(b), direction))
+        time.sleep(0.005)
+        return reach(a, b, direction)
+
+    monkeypatch.setattr(ConvexSet, "minkowski", counted_minkowski)
+    monkeypatch.setattr(calculus, "_reach_along", counted_reach)
+    s1, s2 = _square_and_triangle()
+    pairs = [(s1, s2), (s2, s1)]
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def ask(k):
+        start.wait()
+        got[k] = answers(*pairs[k % 2])
+
+    threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want[k % 2] for k in range(4)]
+    assert sorted(map(id, built)) == sorted([id(s1), id(s2)])
+    assert reaches and len(reaches) == len(set(reaches))
