@@ -12,16 +12,18 @@ supports, with witnesses that attain the convolution exactly.
 Every verdict is an exact rational computation: interiority claims are
 certified by corner decompositions of a small cube, and both sides of
 each identity come from independently solved linear programs. The
-reach programs behind those decompositions depend only on the pair and
-the direction, so each is solved once per pair and kept on the first
-set (see ConvexSet.cached_with).
+reach programs behind those decompositions differ between directions
+only in delta's column, so a pair (or a pair with a window) has one
+reach system that runs phase one once, and each direction is one phase
+two with its certificate checked against the full program. The pair's
+system and its reaches are kept on the first set (see
+ConvexSet.cached_with).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import ceil
 
 from .cones import (
     PolyhedralCone,
@@ -37,7 +39,6 @@ from .linalg import (
     Vec,
     is_zero_vec,
     l1_norm,
-    linf_norm,
     unit_vec,
     vadd,
     vec,
@@ -52,13 +53,12 @@ from .lp import (
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
+    PreparedSystem,
     make_program,
     solve_lp,
 )
 from .oracle import Lcg
 from .sets import ConvexSet, ball_inf, check_same_dim
-
-RADIUS_GRID = tuple(Fraction(2 ** k) for k in range(7))
 
 PROBE_COUNT = 16
 
@@ -81,64 +81,71 @@ def common_point(s1: ConvexSet, s2: ConvexSet) -> Vec | None:
     return out.point if isinstance(out, LpOptimal) else None
 
 
-def _reach_along(s1: ConvexSet, s2: ConvexSet, direction: Vec):
-    """Largest delta in [0, 1] with delta * direction = x1 - x2 for some
-    x1 in s1, x2 in s2, together with a maximizing pair. Returns zero
-    with no pair when not even delta = 0 is feasible."""
+def _reach_system(s1: ConvexSet, s2: ConvexSet) -> PreparedSystem:
+    """The reach program of a pair before its direction is known, after
+    phase one. Its variables are x1, x2 and delta >= 0, its rows say x1
+    in s1, x2 in s2, delta <= 1 and x1 - x2 = delta * direction, and
+    delta's column is left zero, in the cap row too, so phase one never
+    brings delta in. Every direction then takes one phase two (see
+    _reach_along)."""
     n = s1.dim
     h1, h2 = s1.hrep(), s2.hrep()
     zero = zero_vec(n)
-
-    def row1(a):
-        return a + zero + (ZERO,)
-
-    def row2(a):
-        return zero + a + (ZERO,)
-
-    ineqs = [(row1(a), b) for a, b in h1.ineqs]
-    ineqs += [(row2(a), b) for a, b in h2.ineqs]
-    ineqs.append((zero + zero + (ONE,), ONE))
-    eqs = [(row1(a), b) for a, b in h1.eqs]
-    eqs += [(row2(a), b) for a, b in h2.eqs]
-    for j in range(n):
-        coeff = [ZERO] * (2 * n + 1)
-        coeff[j] = ONE
-        coeff[n + j] = -ONE
-        coeff[2 * n] = -direction[j]
-        eqs.append((tuple(coeff), ZERO))
-    obj = zero + zero + (-ONE,)
+    ineqs = [(a + zero + (ZERO,), b) for a, b in h1.ineqs]
+    ineqs += [(zero + a + (ZERO,), b) for a, b in h2.ineqs]
+    ineqs.append((zero + zero + (ZERO,), ONE))
+    eqs = [(a + zero + (ZERO,), b) for a, b in h1.eqs]
+    eqs += [(zero + a + (ZERO,), b) for a, b in h2.eqs]
+    eqs += [(unit_vec(n, j) + unit_vec(n, j, -1) + (ZERO,), ZERO) for j in range(n)]
     signs = (FREE,) * (2 * n) + (NONNEG,)
-    out = solve_lp(make_program(obj, ineqs=ineqs, eqs=eqs, signs=signs))
-    if isinstance(out, LpOptimal):
-        return -out.value, out.point[:n], out.point[n:2 * n]
-    if isinstance(out, LpInfeasible):
+    return PreparedSystem(make_program(zero_vec(2 * n + 1), ineqs=ineqs, eqs=eqs, signs=signs))
+
+
+def _reach_along(system: PreparedSystem, direction: Vec):
+    """How far s1 - s2 reaches from the origin along an integral
+    direction: the largest delta in [0, 1] with delta * direction =
+    x1 - x2 for some x1 in s1, x2 in s2, together with one maximizing
+    pair, for the pair whose _reach_system this is. When the sets are
+    disjoint the origin is not in the difference, and the reach is zero
+    with no pair, certified by the system's own Farkas outcome."""
+    if system.infeasible is not None:
         return ZERO, None, None
-    raise InternalError("a reach capped at one cannot be unbounded")
+    lp = system.lp
+    n = lp.dim // 2
+    column = ((ZERO,) * (len(lp.ineq_lhs) - 1) + (ONE,)
+              + (ZERO,) * (len(lp.eq_lhs) - n) + vneg(direction))
+    out = system.solve_with_column(zero_vec(2 * n) + (-ONE,), 2 * n, column)
+    if not isinstance(out, LpOptimal):
+        raise InternalError("a reach from a common point capped at one must be optimal")
+    return -out.value, out.point[:n], out.point[n:2 * n]
 
 
 def _pair_reach(s1: ConvexSet, s2: ConvexSet, direction: Vec):
-    """_reach_along for the pair itself, solved once per direction and
-    kept on s1 for its last partner. Both row descriptions are derived
-    first, so the solve, which runs under s1's lock, never waits on the
-    lock of s2."""
+    """_reach_along for the pair itself, solved once per direction on
+    the pair's one reach system; both are kept on s1 for its last
+    partner. Both row descriptions are derived first, so the solves,
+    which run under s1's lock, never wait on the lock of s2."""
     s1.hrep()
     s2.hrep()
-    return s1.cached_with(s2, ("reach", direction),
-                          lambda: _reach_along(s1, s2, direction))
+
+    def build():
+        system = s1.cached_with(s2, "reach_system", partial(_reach_system, s1, s2))
+        return _reach_along(system, direction)
+    return s1.cached_with(s2, ("reach", direction), build)
 
 
 def _corner_decompositions(s1: ConvexSet, s2: ConvexSet, window: ConvexSet | None = None):
     """Reach along every sign corner of the unit cube, with maximizing
-    pairs. The window, when given, restricts the second set; windowed
-    reaches are solved afresh, since each window is a new set. Returns
-    None as soon as some corner has reach zero; all corners positive
-    certifies the origin interior to the (windowed) difference, since
-    the hull of the reached corners contains a cube."""
+    pairs. The window, when given, restricts the second set; each window
+    is a new set, so its corners share one reach system built here.
+    Returns None as soon as some corner has reach zero; all corners
+    positive certifies the origin interior to the (windowed) difference,
+    since the hull of the reached corners contains a cube."""
     dim = s1.dim
     if window is None:
         reach = partial(_pair_reach, s1, s2)
     else:
-        reach = partial(_reach_along, s1, s2.intersect(window))
+        reach = partial(_reach_along, _reach_system(s1, s2.intersect(window)))
     out = []
     for bits in range(1 << dim):
         c = tuple(ONE if bits >> j & 1 else -ONE for j in range(dim))
@@ -153,9 +160,12 @@ def difference_interiority(s1: ConvexSet, s2: ConvexSet) -> Fraction | None:
     """Certified sup-norm radius of a box around the origin inside
     s1 - s2, or None when the origin is not interior to the difference.
     The difference set is never materialized; each corner of the box is
-    reached by its own decomposition program. Reaches are shared per
-    pair: asking again, or asking qualification_report about the same
-    pair, solves no corner program twice."""
+    reached by its own decomposition program. Those programs differ only
+    in delta's column, so the pair runs phase one once for all of them,
+    and each corner is one phase two whose certificate is checked
+    against the full program. Reaches are shared per pair: asking
+    again, or asking qualification_report about the same pair, solves
+    no corner program twice."""
     check_same_dim(s1, s2)
     corners = _corner_decompositions(s1, s2)
     if corners is None:
@@ -167,12 +177,10 @@ def core_at_zero(s1: ConvexSet, s2: ConvexSet) -> bool:
     """Whether the origin lies in the core of s1 - s2: the difference
     contains the origin and absorbs every signed coordinate direction.
     Convexity then absorbs all directions, so this matches the
-    definitional core test on the materialized difference. The axis
-    reaches are shared per pair, like the corner reaches of
-    difference_interiority."""
+    definitional core test on the materialized difference. A disjoint
+    pair has reach zero along every axis. The axis reaches are shared
+    per pair, like the corner reaches of difference_interiority."""
     check_same_dim(s1, s2)
-    if common_point(s1, s2) is None:
-        return False
     for i in range(s1.dim):
         for sign in (1, -1):
             delta, _, _ = _pair_reach(s1, s2, unit_vec(s1.dim, i, sign))
@@ -223,23 +231,22 @@ class QcReport:
 def qualification_report(s1: ConvexSet, s2: ConvexSet, xbar) -> QcReport:
     """Evaluate all four qualification conditions exactly.
 
-    The window radius is searched over RADIUS_GRID and the first working
-    value is reported. If the bare difference condition holds but no
-    grid radius works, a sufficient radius is derived from the corner
-    decompositions by shrinking them toward the common point, so the
-    windowed condition is decided, never given up on."""
+    When the origin is interior to the difference, the window of radius
+    one around the common point already works, and that radius is
+    reported. Shrinking each corner decomposition toward the common
+    point, a' = x + t(a - x) and b' = x + t(b - x) with t = min(1,
+    1/|b - x|), keeps a' - b' on its corner's ray and b' in the window.
+    The windowed corners are still solved, and a failure raises
+    InternalError."""
     x = _common_member(s1, s2, xbar)
     classical = meets_interior(s1, s2)
     corners = _corner_decompositions(s1, s2)
     core = core_at_zero(s1, s2)
     radius = None
     if corners is not None:
-        for r in RADIUS_GRID:
-            if _corner_decompositions(s1, s2, window=ball_inf(x, r)) is not None:
-                radius = r
-                break
-        else:
-            radius = _certified_window_radius(s1, s2, x, corners)
+        if _corner_decompositions(s1, s2, window=ball_inf(x, ONE)) is None:
+            raise InternalError("the unit window failed to certify an interior difference")
+        radius = ONE
     return QcReport(
         classical_interiority=classical,
         difference_interiority=corners is not None,
@@ -247,23 +254,6 @@ def qualification_report(s1: ConvexSet, s2: ConvexSet, xbar) -> QcReport:
         bounded_extremality_radius=radius,
         core_condition=core,
     )
-
-
-def _certified_window_radius(s1: ConvexSet, s2: ConvexSet, xbar: Vec, corners) -> Fraction:
-    """Window radius derived from unrestricted corner decompositions.
-
-    Scaling each decomposition toward the common point until all corners
-    reach the same small cube keeps every second part within a
-    computable sup-norm distance of that point, and that distance is a
-    valid window radius. Verified before being reported."""
-    rho = min(delta for _, delta, _, _ in corners)
-    need = ONE
-    for _, delta, _, x2 in corners:
-        need = max(need, rho / delta * linf_norm(vsub(x2, xbar)))
-    r = Fraction(ceil(need))
-    if _corner_decompositions(s1, s2, window=ball_inf(xbar, r)) is None:
-        raise InternalError("derived window radius failed to verify")
-    return r
 
 
 @dataclass(frozen=True)

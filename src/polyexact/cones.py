@@ -10,7 +10,7 @@ canonical form stays a tested invariant rather than an assumption.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import dd
 from .errors import PreconditionError
@@ -34,15 +34,23 @@ class PolyhedralCone:
     dim: int
     generators: tuple[Vec, ...]
     lineality: tuple[Vec, ...]
+    # membership answers by point; not part of the cone's value. Two
+    # threads asking at once may both solve, and store the same answer
+    _members: dict = field(default_factory=dict, init=False, compare=False,
+                           hash=False, repr=False)
 
     def is_trivial(self) -> bool:
         return not self.generators and not self.lineality
 
     def contains(self, x) -> bool:
+        """Membership by one LP, solved once per point and kept on the
+        cone, so asking a shared cone again solves nothing."""
         x = vec(x)
         if len(x) != self.dim:
             return False
-        return _conic_membership(self.generators, self.lineality, x)
+        if x not in self._members:
+            self._members[x] = _conic_membership(self.generators, self.lineality, x)
+        return self._members[x]
 
     def sample_directions(self) -> tuple[Vec, ...]:
         """Nonzero members spanning the cone, lineality in both signs."""

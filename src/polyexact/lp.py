@@ -43,6 +43,14 @@ from the basis as den*c - sum_i c_B(i)*row_i, the same integers a cost
 row pivoted along from the start would hold, so a prepared solve returns
 the very outcome solve_lp gives. solve_lp runs both phases on one
 tableau without a copy.
+
+Programs that differ only in one column share phase one the same way:
+the prepared program has that column zero, so it never enters, and a
+copy gets the real column as M*(rowscale*coeffs), where M, read from
+the artificial block, is den times the inverse of the basis. A row
+phase one dropped as redundant that the new column meets comes back
+through one degenerate pivot. The outcome is verified against the full
+program.
 """
 from __future__ import annotations
 
@@ -51,7 +59,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, PreconditionError
 from .linalg import Vec, frac, lcm_all, vec
 
 FREE = 0
@@ -210,12 +218,32 @@ class _Tableau:
         self.active = [True] * self.m
         self.den = 1
 
+    def put_column(self, j: int, start: list[int]) -> None:
+        """Give variable j, whose column is zero, the starting column
+        start (one int per row, in scaled-row units). Its entry in row i
+        becomes sum_r M[i][r]*start[r], where M = entry(i, art r) is the
+        artificial block: it started as the identity and holds den times
+        the inverse of the basis, so the column reads as if it had been
+        pivoted along from the start. A zero column never entered, so j
+        is nonbasic. A row dropped as redundant that the column meets is
+        redundant no more: j enters on it, a degenerate pivot since its
+        rhs is zero, and the row is active again."""
+        arts = [(self.nt + self.ns + r, v) for r, v in enumerate(start) if v]
+        for i, row in enumerate(self.rows):
+            row[j] = sum(self.entry(i, a) * v for a, v in arts)
+        pc = next(t for t, (k, _) in enumerate(self.tcols) if k == j)
+        for i in range(self.m):
+            if not self.active[i] and self.rows[i][j]:
+                self.active[i] = True
+                self._pivot(i, pc, None)
+
     def copy(self) -> "_Tableau":
-        """A twin whose rows and basis can be pivoted independently;
-        phase two never changes the rest."""
+        """A twin whose rows, basis and active rows can change
+        independently; nothing after phase one changes the rest."""
         twin = copy.copy(self)
         twin.rows = [row[:] for row in self.rows]
         twin.basis = self.basis[:]
+        twin.active = self.active[:]
         return twin
 
     def entry(self, i: int, col: int) -> int:
@@ -436,19 +464,63 @@ class PreparedSystem:
     after construction. An infeasible system returns its Farkas outcome,
     verified once, for every objective; that certificate does not
     involve the objective either.
+
+    solve_with_column(c, j, column) also fills in a column the prepared
+    program leaves zero, so a family of programs that differ in one
+    column shares one phase one. The column is computed on the copy
+    from the artificial block (see _Tableau.put_column), and the outcome
+    is verified against the full program. Its optimal value is the one
+    solve_lp finds, its optimal point may be another one.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self._start = _phase_one(lp)
 
-    def solve(self, objective) -> LpOutcome:
+    @property
+    def infeasible(self) -> LpInfeasible | None:
+        """The verified Farkas outcome when the rows have no solution."""
+        return self._start if isinstance(self._start, LpInfeasible) else None
+
+    def _objective(self, objective) -> Vec:
         c = vec(objective)
         if len(c) != self.lp.dim:
             raise InputError(f"objective has {len(c)} coefficients, expected {self.lp.dim}")
+        return c
+
+    def solve(self, objective) -> LpOutcome:
+        c = self._objective(objective)
         if isinstance(self._start, LpInfeasible):
             return self._start
         return _phase_two(self._start.copy(), replace(self.lp, objective=c))
+
+    def solve_with_column(self, objective, j: int, column) -> LpOutcome:
+        """Solve the program whose variable j has the coefficients column,
+        over the inequality rows and then the equality rows, where the
+        prepared program has zeros. Each coefficient times its row's
+        scale must be an integer, as it is for integer coefficients. A
+        column can make infeasible rows feasible, so an infeasible
+        system raises PreconditionError."""
+        c = self._objective(objective)
+        lp = self.lp
+        col = vec(column)
+        rows = lp.ineq_lhs + lp.eq_lhs
+        if not 0 <= j < lp.dim or len(col) != len(rows):
+            raise InputError("column does not fit the program")
+        if any(a[j] for a in rows):
+            raise InputError(f"column {j} of the prepared program is not zero")
+        if isinstance(self._start, LpInfeasible):
+            raise PreconditionError("the prepared rows are infeasible")
+        sg = -1 if lp.var_signs[j] == NONPOS else 1
+        start = [sg * scale * x for scale, x in zip(self._start.rowscale, col)]
+        if any(v.denominator != 1 for v in start):
+            raise InputError("column is not integral under the row scales")
+        lhs = tuple(a[:j] + (x,) + a[j + 1:] for a, x in zip(rows, col))
+        m1 = len(lp.ineq_lhs)
+        full = replace(lp, objective=c, ineq_lhs=lhs[:m1], eq_lhs=lhs[m1:])
+        tab = self._start.copy()
+        tab.put_column(j, [v.numerator for v in start])
+        return _phase_two(tab, full)
 
 
 def _check(lp: LinearProgram, outcome: LpOutcome) -> None:

@@ -15,10 +15,10 @@ emptiness answer, the canonical forms and the normal cone at each point
 asked. Support values, emptiness and the row-promotion LPs of
 canonicalization so share one phase one. cached_with() holds results of
 a pair for the set's last partner, compared by identity: the difference
-set and the reach programs along the cube's corners and axes. Every
-question asked of one pair then shares one A - B, with its rows,
-canonical form and prepared LP system, and solves each reach program
-once.
+set, the pair's prepared reach system and its reaches along the cube's
+corners and axes. Every question asked of one pair then shares one
+A - B, with its rows, canonical form and prepared LP system, runs phase
+one once for all reach programs and solves each of them once.
 """
 from __future__ import annotations
 

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from polyexact import calculus
+from polyexact import lp as lp_module
 from polyexact.calculus import (
     InfConvolutionValue,
     QcReport,
@@ -17,9 +19,10 @@ from polyexact.calculus import (
     support_value,
 )
 from polyexact.cones import cones_equal, make_cone, normal_cone
-from polyexact.errors import InputError, PreconditionError
+from polyexact.errors import InputError, InternalError, PreconditionError
 from polyexact.extremality import is_extremal_system
-from polyexact.linalg import dot, vadd, vec, vscale, zero_vec
+from polyexact.instances import load_instance
+from polyexact.linalg import dot, unit_vec, vadd, vec, vscale, vsub, zero_vec
 from polyexact.oracle import (
     Lcg,
     prop33_hypotheses,
@@ -28,6 +31,8 @@ from polyexact.oracle import (
     vertex_support_oracle,
 )
 from polyexact.sets import ConvexSet, ball_inf
+from polyexact.suite import FIXTURE_PAIRS
+from reach_reference import reference_reach
 
 
 def box(x0, x1, y0, y1):
@@ -94,6 +99,98 @@ def test_core_matches_materialized_core():
             assert core_at_zero(s1, s2) == d.core_contains(zero_vec(dim))
 
 
+# -- the prepared reach system ------------------------------------------------
+
+def _corners_and_axes(dim):
+    corners = [tuple(F(1) if bits >> j & 1 else F(-1) for j in range(dim))
+               for bits in range(1 << dim)]
+    return corners + [unit_vec(dim, i, sign) for i in range(dim) for sign in (1, -1)]
+
+
+def _fixture_pairs():
+    for name, (first, second, _) in sorted(FIXTURE_PAIRS.items()):
+        doc = load_instance(name)
+        yield name, doc.get_set(first), doc.get_set(second)
+
+
+def _assert_reaches_match_reference(s1, s2, label):
+    system = calculus._reach_system(s1, s2)
+    disjoint = common_point(s1, s2) is None
+    for d in _corners_and_axes(s1.dim):
+        delta, x1, x2 = calculus._reach_along(system, d)
+        assert delta == (0 if disjoint else reference_reach(s1, s2, d)[0]), (label, d)
+        if x1 is None:
+            assert delta == 0 and x2 is None
+        else:
+            assert s1.contains(x1) and s2.contains(x2), (label, d)
+            assert vsub(x1, x2) == vscale(delta, d), (label, d)
+
+
+@pytest.mark.parametrize("dim, top", [(2, 12), (3, 12), (4, 6)])
+def test_prepared_reach_matches_reference_on_random_pairs(dim, top):
+    for seed in range(1, top + 1):
+        s1, s2, _ = random_pair_with_common_point(seed, dim)
+        _assert_reaches_match_reference(s1, s2, seed)
+
+
+def test_prepared_reach_matches_reference_on_fixture_pairs():
+    for name, s1, s2 in _fixture_pairs():
+        _assert_reaches_match_reference(s1, s2, name)
+        _assert_reaches_match_reference(s2, s1, name)
+
+
+def _reactivations(monkeypatch):
+    """Rows that put_column makes active again, recorded per call."""
+    seen = []
+    put_column = lp_module._Tableau.put_column
+
+    def recorded(tab, j, start):
+        before = tab.active[:]
+        put_column(tab, j, start)
+        seen.append(sum(not a and b for a, b in zip(before, tab.active)))
+
+    monkeypatch.setattr(lp_module._Tableau, "put_column", recorded)
+    return seen
+
+
+def test_directions_leaving_the_affine_hull_reach_zero(monkeypatch):
+    # both pairs have A - B = the vertical axis: the prepared system
+    # drops a coupling row as redundant, and a direction with a nonzero
+    # first coordinate brings it back
+    axis = load_instance("halfplane-and-axis").get_set("axis")
+    seen = _reactivations(monkeypatch)
+    for s1, s2 in [(vertical_axis(), vertical_axis()), (axis, axis)]:
+        system = calculus._reach_system(s1, s2)
+        assert not all(system._start.active)
+        for d, want in [((1, 1), 0), ((-1, 0), 0), ((1, -1), 0), ((0, 1), 1), ((0, -1), 1)]:
+            d = vec(d)
+            delta, x1, x2 = calculus._reach_along(system, d)
+            assert delta == want == reference_reach(s1, s2, d)[0]
+            assert vsub(x1, x2) == vscale(delta, d)
+            assert seen[-1] == (1 if d[0] else 0)
+        assert difference_interiority(s1, s2) is None
+        assert not core_at_zero(s1, s2)
+
+
+def test_disjoint_pair_reaches_zero_with_no_pair():
+    s1, s2 = unit_square(), box(F(3, 2), 2, 0, 1)
+    system = calculus._reach_system(s1, s2)
+    assert system.infeasible is not None
+    for d in _corners_and_axes(2):
+        assert calculus._reach_along(system, d) == (0, None, None)
+    # the difference [-2, -1/2] x [-1, 1] misses the origin, though a
+    # program along (-1, 0) alone can reach it
+    assert reference_reach(s1, s2, vec((-1, 0)))[0] == 1
+    assert difference_interiority(s1, s2) is None
+    assert not core_at_zero(s1, s2)
+
+
+def test_non_integral_direction_is_rejected():
+    system = calculus._reach_system(unit_square(), unit_square())
+    with pytest.raises(InputError):
+        calculus._reach_along(system, vec((F(1, 2), 1)))
+
+
 # -- qualification report -----------------------------------------------------
 
 def test_report_halfplane_and_axis():
@@ -117,6 +214,17 @@ def test_report_overlapping_boxes():
 def test_report_touching_corner_boxes():
     rep = qualification_report(unit_square(), box(1, 2, 1, 2), (1, 1))
     assert rep == QcReport(False, False, False, None, False)
+
+
+def test_report_raises_when_the_unit_window_fails(monkeypatch):
+    corners = calculus._corner_decompositions
+
+    def no_window(s1, s2, window=None):
+        return corners(s1, s2) if window is None else None
+
+    monkeypatch.setattr(calculus, "_corner_decompositions", no_window)
+    with pytest.raises(InternalError, match="unit window"):
+        qualification_report(unit_square(), box(F(1, 2), F(3, 2), 0, 1), (F(3, 4), F(1, 2)))
 
 
 def test_report_requires_common_point():

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from polyexact import cones
 from polyexact.cones import (
     PolyhedralCone,
     cone_intersect,
@@ -168,3 +169,23 @@ def test_canonical_equality_iff_semantic_equality():
     for i, a in enumerate(shapes):
         for b in shapes[i:]:
             assert (a == b) == cones_equal(a, b)
+
+
+def test_contains_solves_each_point_once(monkeypatch):
+    solved = []
+    membership = cones._conic_membership
+
+    def counted(gens, lin, x):
+        solved.append(x)
+        return membership(gens, lin, x)
+
+    c = make_cone(2, generators=[(1, 0), (0, 1)])
+    twin = make_cone(2, generators=[(0, 1), (1, 0)])
+    monkeypatch.setattr(cones, "_conic_membership", counted)
+    for _ in range(3):
+        assert c.contains((1, 2)) and c.contains((F(1), F(2)))
+        assert not c.contains((-1, 0))
+        assert not c.contains((1, 2, 3))
+    assert solved == [vec((1, 2)), vec((-1, 0))]
+    # the kept answers are not part of the cone's value
+    assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)

@@ -12,11 +12,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from polyexact import calculus, cones
+from polyexact import cones
 from polyexact import lp as lp_module
 from polyexact.calculus import difference_interiority, standard_probes
 from polyexact.cones import normal_cone
-from polyexact.errors import InputError, InternalError
+from polyexact.errors import InputError, InternalError, PreconditionError
 from polyexact.linalg import lcm_all, vneg, zero_vec
 from polyexact.lp import (
     FREE,
@@ -32,6 +32,7 @@ from polyexact.lp import (
 )
 from polyexact.oracle import lp_mutations, random_pair_with_common_point, random_lp
 from polyexact.sets import ConvexSet
+from reach_reference import reach_program, reference_reach
 
 
 def test_box_corner_optimum():
@@ -380,13 +381,18 @@ def _recorded_programs(monkeypatch, module, run):
     return seen
 
 
-def _corner_programs(monkeypatch, dim, seeds):
-    """The reach programs of difference_interiority on random pairs."""
-    def run():
-        for seed in seeds:
-            s1, s2, _ = random_pair_with_common_point(seed, dim)
-            difference_interiority(s1, s2)
-    return _recorded_programs(monkeypatch, calculus, run)
+def _corner_programs(dim, seeds):
+    """The reach programs difference_interiority stands for on random
+    pairs: the corners in its order, up to the first of reach zero."""
+    programs = []
+    for seed in seeds:
+        s1, s2, _ = random_pair_with_common_point(seed, dim)
+        for bits in range(1 << dim):
+            c = tuple(F(1) if bits >> j & 1 else F(-1) for j in range(dim))
+            programs.append(reach_program(s1, s2, c))
+            if reference_reach(s1, s2, c)[0] == 0:
+                break
+    return programs
 
 
 def _conic_programs(monkeypatch, dim, seeds):
@@ -400,9 +406,9 @@ def _conic_programs(monkeypatch, dim, seeds):
 
 
 def _library_programs(monkeypatch):
-    corners = (_corner_programs(monkeypatch, 2, range(1, 13))
-               + _corner_programs(monkeypatch, 3, range(1, 7))
-               + _corner_programs(monkeypatch, 4, range(1, 3)))
+    corners = (_corner_programs(2, range(1, 13))
+               + _corner_programs(3, range(1, 7))
+               + _corner_programs(4, range(1, 3)))
     conic = [lp for dim in (2, 3, 4) for lp in _conic_programs(monkeypatch, dim, range(1, 9))]
     assert len(corners) > 100 and len(conic) > 100
     return corners + conic
@@ -444,6 +450,94 @@ def test_dependent_equalities_leave_inactive_rows():
             feasible.append(tab)
     assert len(feasible) > 200
     assert not any(all(tab.active) for tab in feasible)
+
+
+def _with_column(lp, j, column):
+    def put(rows, values):
+        return tuple(a[:j] + (x,) + a[j + 1:] for a, x in zip(rows, values))
+    m1 = len(lp.ineq_lhs)
+    return replace(lp, ineq_lhs=put(lp.ineq_lhs, column[:m1]),
+                   eq_lhs=put(lp.eq_lhs, column[m1:]))
+
+
+def test_solve_with_column_matches_reference(monkeypatch):
+    # each column is made integral (its numerators), zeroed for phase
+    # one and filled in by solve_with_column; the dependent equalities
+    # make some columns meet a row phase one dropped
+    statuses = set()
+    infeasible = 0
+    reactivated = []
+    put_column = lp_module._Tableau.put_column
+
+    def recorded(tab, j, start):
+        before = tab.active[:]
+        put_column(tab, j, start)
+        reactivated.append(before != tab.active)
+
+    monkeypatch.setattr(lp_module._Tableau, "put_column", recorded)
+    for seed in range(500):
+        for lp in (_signed_lp(seed), _with_dependent_equalities(_signed_lp(seed))):
+            for j in range(lp.dim):
+                column = tuple(F(a[j].numerator) for a in lp.ineq_lhs + lp.eq_lhs)
+                full = _with_column(lp, j, column)
+                blank = _with_column(lp, j, (F(0),) * len(column))
+                system = PreparedSystem(replace(blank, objective=zero_vec(lp.dim)))
+                if system.infeasible is not None:
+                    infeasible += 1
+                    with pytest.raises(PreconditionError):
+                        system.solve_with_column(lp.objective, j, column)
+                    continue
+                out = system.solve_with_column(lp.objective, j, column)
+                want = reference_solve(full)
+                assert out.status == want.status, (seed, j)
+                if want.status == "optimal":
+                    assert out.value == want.value, (seed, j)
+                assert verify_certificate(full, out)
+                statuses.add(out.status)
+    assert statuses == {"optimal", "unbounded"}
+    assert infeasible > 100 and sum(reactivated) > 20
+
+
+def test_solve_with_column_rejects_what_does_not_fit():
+    lp = make_program([0, 0], ineqs=[((1, 0), 1), ((2, 0), 3)], signs=[NONNEG, NONNEG])
+    system = PreparedSystem(lp)
+    with pytest.raises(InputError, match="not integral"):
+        system.solve_with_column([0, -1], 1, (F(1, 2), 1))
+    with pytest.raises(InputError, match="not zero"):
+        system.solve_with_column([0, -1], 0, (1, 1))
+    with pytest.raises(InputError):
+        system.solve_with_column([0, -1], 1, (1,))
+    with pytest.raises(InputError):
+        system.solve_with_column([0, -1], 2, (1, 1))
+    out = system.solve_with_column([0, -1], 1, (1, 1))
+    assert isinstance(out, LpOptimal) and out.value == -1
+
+
+def test_prepared_reach_pivots_are_pinned(monkeypatch):
+    """difference_interiority on dim-4 pairs, with one reach system per
+    pair: one tableau per pair. One cold program per corner took 32
+    tableaux and 1,441 pivots on pairs 1-2 (see above), and 96 and
+    3,236 on pairs 1-6."""
+    tableaux, pivots = [], []
+    init, pivot = lp_module._Tableau.__init__, lp_module._Tableau._pivot
+
+    def counting_init(self, lp):
+        tableaux.append(lp)
+        init(self, lp)
+
+    def counting_pivot(self, pr, pc, obj):
+        pivots.append((pr, pc))
+        pivot(self, pr, pc, obj)
+
+    monkeypatch.setattr(lp_module._Tableau, "__init__", counting_init)
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", counting_pivot)
+    for top, want in ((2, (2, 171)), (6, (6, 484))):
+        pairs = [random_pair_with_common_point(seed, 4)[:2] for seed in range(1, top + 1)]
+        tableaux.clear()
+        pivots.clear()
+        for s1, s2 in pairs:
+            difference_interiority(s1, s2)
+        assert (len(tableaux), len(pivots)) == want
 
 
 def test_set_systems_match_reference_on_probes_and_row_normals():
@@ -530,7 +624,7 @@ def test_corrupted_entry_breaks_exactness(row, col, pc):
 def test_pivot_counts_are_pinned(monkeypatch):
     # counted with the dense tableau: the layout changed the work per
     # pivot, not the pivots
-    corners = _corner_programs(monkeypatch, 4, (1, 2))
+    corners = _corner_programs(4, (1, 2))
     pivots = []
     original = lp_module._Tableau._pivot
 

@@ -1,6 +1,7 @@
-"""Each pair's work is done once: the difference set, the unwindowed
-reach programs and the normal cones are built once per suite task and
-shared by every question asked of the pair."""
+"""Each pair's work is done once: the difference set, the reach system
+with its reaches and the normal cones are built once per suite task and
+shared by every question asked of the pair, and a cone answers each
+membership question once."""
 import sys
 
 import pytest
@@ -24,28 +25,38 @@ def _rebind(monkeypatch, module, name, wrapper):
 
 
 class Counts:
-    """Counting wrappers on minkowski, _reach_along, normal_cone and
-    make_cone. Arguments are kept alive, so object identities stay
+    """Counting wrappers on minkowski, the reach systems and the reaches
+    along each direction, normal_cone, make_cone and the conic
+    membership LPs. Arguments are kept alive, so object identities stay
     unique for the whole run."""
 
     def __init__(self, monkeypatch):
         self.minkowski = 0
+        self.systems = []
         self.reaches = []
         self.make_cone = 0
+        self.memberships = 0
         self.cone_builds = []
         self._in_normal_cone = []
         minkowski = ConvexSet.minkowski
+        reach_system = calculus._reach_system
         reach = calculus._reach_along
         make_cone = cones.make_cone
         normal_cone = cones.normal_cone
+        membership = cones._conic_membership
 
         def counted_minkowski(s, other):
             self.minkowski += 1
             return minkowski(s, other)
 
-        def counted_reach(s1, s2, direction):
-            self.reaches.append((s1, s2, direction))
-            return reach(s1, s2, direction)
+        def counted_system(s1, s2):
+            system = reach_system(s1, s2)
+            self.systems.append((s1, s2, system))
+            return system
+
+        def counted_reach(system, direction):
+            self.reaches.append((system, direction))
+            return reach(system, direction)
 
         def counted_make_cone(*args, **kwargs):
             self.make_cone += 1
@@ -60,10 +71,16 @@ class Counts:
             finally:
                 self._in_normal_cone.pop()
 
+        def counted_membership(gens, lin, x):
+            self.memberships += 1
+            return membership(gens, lin, x)
+
         monkeypatch.setattr(ConvexSet, "minkowski", counted_minkowski)
+        _rebind(monkeypatch, calculus, "_reach_system", counted_system)
         _rebind(monkeypatch, calculus, "_reach_along", counted_reach)
         _rebind(monkeypatch, cones, "make_cone", counted_make_cone)
         _rebind(monkeypatch, cones, "normal_cone", counted_normal_cone)
+        _rebind(monkeypatch, cones, "_conic_membership", counted_membership)
 
 
 @pytest.mark.parametrize("task", [
@@ -88,11 +105,14 @@ def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
 
     # one A - B per task, shared by every question about the pair
     assert counts.minkowski == 1
-    # unwindowed reaches run on the task's own sets; none repeats
+    # the task's own sets get one reach system, and no direction is
+    # solved on it twice
     _, s1, s2, _ = instances[0]
-    own = [d for a, b, d in counts.reaches if a is s1 and b is s2]
-    assert own
-    assert len(own) == len(set(own))
+    own = [system for a, b, system in counts.systems if a is s1 and b is s2]
+    assert len(own) == 1
+    directions = [d for system, d in counts.reaches if system is own[0]]
+    assert directions
+    assert len(directions) == len(set(directions))
     # a normal cone is canonicalized at most once per set and point
     builds = [(id(s), x) for s, x in counts.cone_builds]
     assert builds
@@ -101,10 +121,16 @@ def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
 
 def test_slice_counts_are_pinned(monkeypatch):
     """Counts on the 12-seed planar slice: 18 Minkowski sums (one per
-    pair task), 145 reach programs and 91 canonicalized cones. Before
-    the sharing they were 64, 302 and 327."""
+    pair task), 145 reaches along a direction, 91 canonicalized cones
+    and 874 conic membership LPs. Before the sharing they were 64, 302,
+    327 and 2,078, and before contains kept its answers there were 1,242
+    membership LPs. The reaches run on 28 reach systems, one per ordered
+    pair of sets: the 18 tasks' own pairs and 10 windows."""
     counts = Counts(monkeypatch)
     assert suite.run_suite(**SLICE).ok
     assert counts.minkowski == 18
     assert len(counts.reaches) == 145
     assert counts.make_cone == 91
+    assert counts.memberships == 874
+    pairs = [(id(a), id(b)) for a, b, _ in counts.systems]
+    assert len(pairs) == len(set(pairs)) == 28

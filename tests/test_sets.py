@@ -280,8 +280,8 @@ def test_verdict_shares_the_difference():
 def test_pair_caches_are_built_once_under_threads(monkeypatch):
     """Four threads ask (s1, s2) and (s2, s1) of generator-described
     sets, whose rows must be derived first: no deadlock, every answer
-    equals the serial one, one A - B per ordered pair and no reach
-    program solved twice."""
+    equals the serial one, one A - B and one reach system per ordered
+    pair, and no reach direction solved twice."""
     def answers(a, b):
         return (a.difference(b).canonical_hrep(), difference_interiority(a, b),
                 core_at_zero(a, b))
@@ -289,8 +289,10 @@ def test_pair_caches_are_built_once_under_threads(monkeypatch):
     s1, s2 = _square_and_triangle()
     want = [answers(s1, s2), answers(s2, s1)]
     built = []
+    systems = []
     reaches = []
     minkowski = ConvexSet.minkowski
+    reach_system = calculus._reach_system
     reach = calculus._reach_along
 
     def counted_minkowski(s, other):
@@ -298,12 +300,18 @@ def test_pair_caches_are_built_once_under_threads(monkeypatch):
         time.sleep(0.02)  # widen the window a missing lock would leave open
         return minkowski(s, other)
 
-    def counted_reach(a, b, direction):
-        reaches.append((id(a), id(b), direction))
+    def counted_system(a, b):
+        systems.append((id(a), id(b)))
         time.sleep(0.005)
-        return reach(a, b, direction)
+        return reach_system(a, b)
+
+    def counted_reach(system, direction):
+        reaches.append((id(system), direction))
+        time.sleep(0.005)
+        return reach(system, direction)
 
     monkeypatch.setattr(ConvexSet, "minkowski", counted_minkowski)
+    monkeypatch.setattr(calculus, "_reach_system", counted_system)
     monkeypatch.setattr(calculus, "_reach_along", counted_reach)
     s1, s2 = _square_and_triangle()
     pairs = [(s1, s2), (s2, s1)]
@@ -327,4 +335,5 @@ def test_pair_caches_are_built_once_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert got == [want[k % 2] for k in range(4)]
     assert sorted(map(id, built)) == sorted([id(s1), id(s2)])
+    assert sorted(systems) == sorted([(id(s1), id(s2)), (id(s2), id(s1))])
     assert reaches and len(reaches) == len(set(reaches))
