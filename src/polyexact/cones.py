@@ -3,10 +3,11 @@
 Cones are stored in a canonical shape: the lineality space gets a
 reduced-echelon basis, remaining generators are reduced modulo that
 space, scaled so the leading coordinate has absolute value one,
-deduplicated, pruned to the extreme rays, and sorted. Two cones are
-equal as sets exactly when their canonical fields coincide; the
-semantic check cones_equal is still done by mutual membership so the
-canonical form stays a tested invariant rather than an assumption.
+deduplicated, pruned to the extreme rays, and sorted. The shape is
+unique, so two cones are equal as sets exactly when their canonical
+fields coincide, and cones_equal compares those fields. The lineality
+space and the extreme rays are read off one double description of the
+polar cone; the tests cross-check them against membership LPs.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .errors import PreconditionError
 from .lp import NONNEG, LpOptimal, make_program, solve_lp
 from .linalg import (
     Vec,
+    dot,
     is_zero_vec,
     lead_normalized,
     reduce_mod_subspace,
@@ -77,35 +79,29 @@ def _conic_membership(gens, lin, x: Vec) -> bool:
 def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
     """Canonicalize cone(generators) + span(lineality).
 
-    Zero vectors are dropped. Generators whose negation also lies in the
-    cone are moved into the lineality space; the rest are reduced modulo
-    it and pruned to the extreme rays.
+    Zero vectors are dropped. One double description of the polar cone
+    gives its rays P, and each generator g is judged by Z(g), the rays
+    of P orthogonal to it, as in dd's adjacency test (Fukuda & Prodon
+    1996). g lies in the lineality space iff Z(g) is all of P. The rest
+    are reduced modulo that space, and a reduced generator is an extreme
+    ray iff no other one h has Z(g) within Z(h). Vectors of the wrong
+    length raise InputError, and the DD caps raise CapacityError.
     """
     gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
     lin = [vec(l) for l in lineality if not is_zero_vec(vec(l))]
-    flagged = []
-    pointed = []
-    for g in gens:
-        if _conic_membership(gens, lin, vneg(g)):
-            flagged.append(g)
-        else:
-            pointed.append(g)
-    lin_rows, pivots = rref([list(l) for l in lin + flagged])
-    canon_lin = tuple(tuple(row) for row in lin_rows)
-    seen = []
-    for g in pointed:
-        r = reduce_mod_subspace(g, lin_rows, pivots)
-        if is_zero_vec(r):
-            continue
-        r = lead_normalized(r)
-        if r not in seen:
-            seen.append(r)
-    survivors = list(seen)
-    for g in list(survivors):
-        others = [h for h in survivors if h is not g]
-        if _conic_membership(others, canon_lin, g):
-            survivors.remove(g)
-    return PolyhedralCone(dim, tuple(sorted(survivors)), tuple(sorted(canon_lin)))
+    polar, _ = dd.cone_from_inequalities(gens + lin + [vneg(l) for l in lin], dim)
+    full = (1 << len(polar)) - 1
+    zero_sets = [sum(1 << k for k, p in enumerate(polar) if not dot(g, p)) for g in gens]
+    lin_rows, pivots = rref([list(l) for l in lin]
+                            + [list(g) for g, z in zip(gens, zero_sets) if z == full])
+    reduced = {}
+    for g, z in zip(gens, zero_sets):
+        if z != full:
+            reduced.setdefault(lead_normalized(reduce_mod_subspace(g, lin_rows, pivots)), z)
+    extreme = [g for g, z in reduced.items()
+               if not any(h != g and z & w == z for h, w in reduced.items())]
+    return PolyhedralCone(dim, tuple(sorted(extreme)),
+                          tuple(sorted(tuple(row) for row in lin_rows)))
 
 
 def cone_negate(c: PolyhedralCone) -> PolyhedralCone:
@@ -146,12 +142,9 @@ def cone_intersect(a: PolyhedralCone, b: PolyhedralCone) -> PolyhedralCone:
 
 
 def cones_equal(a: PolyhedralCone, b: PolyhedralCone) -> bool:
-    if a.dim != b.dim:
-        return False
-    return (
-        all(b.contains(g) for g in a.sample_directions())
-        and all(a.contains(g) for g in b.sample_directions())
-    )
+    """Equality as sets, which for canonical cones is equality of
+    their fields."""
+    return a == b
 
 
 def cone_sum_decompose(a: PolyhedralCone, b: PolyhedralCone, x) -> tuple[Vec, Vec] | None:

@@ -463,7 +463,9 @@ class PreparedSystem:
     two runs on a copy of the phase-one tableau, which is never changed
     after construction. An infeasible system returns its Farkas outcome,
     verified once, for every objective; that certificate does not
-    involve the objective either.
+    involve the objective either. A feasible system checks its
+    phase-one point against the rows once, so infeasible is None only
+    with a verified witness.
 
     solve_with_column(c, j, column) also fills in a column the prepared
     program leaves zero, so a family of programs that differ in one
@@ -476,6 +478,8 @@ class PreparedSystem:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self._start = _phase_one(lp)
+        if not isinstance(self._start, LpInfeasible) and not _feasible(lp, self._start.point()):
+            raise InternalError("phase-one point fails the rows")
 
     @property
     def infeasible(self) -> LpInfeasible | None:

@@ -11,9 +11,9 @@ canonical forms and reports stay byte-stable.
 Sets are immutable, so what is derived from them is kept on them.
 cached() holds results of one set by key: the prepared LP system of the
 rows (simplex phase one, run once; see lp.PreparedSystem), the
-emptiness answer, the canonical forms and the normal cone at each point
-asked. Support values, emptiness and the row-promotion LPs of
-canonicalization so share one phase one. cached_with() holds results of
+canonical forms and the normal cone at each point asked. Emptiness is
+read off that phase one, and support values and the row-promotion LPs
+of canonicalization share it. cached_with() holds results of
 a pair for the set's last partner, compared by identity: the difference
 set, the pair's prepared reach system and its reaches along the cube's
 corners and axes. Every question asked of one pair then shares one
@@ -250,10 +250,7 @@ class ConvexSet:
     def is_empty(self) -> bool:
         if self._vrep is not None:
             return not self._vrep.vertices
-        def build():
-            out = self.lp_system().solve(zero_vec(self.dim))
-            return not isinstance(out, (LpOptimal, LpUnbounded))
-        return self.cached("empty", build)
+        return self.lp_system().infeasible is not None
 
     def is_bounded(self) -> bool:
         if self.is_empty():

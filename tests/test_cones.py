@@ -2,13 +2,17 @@
 
 Normal cones are computed two ways (active rows vs shifted generators)
 and both are cross-checked against the defining inequalities evaluated
-on raw generators.
+on raw generators. Canonical cones are cross-checked against the
+membership-LP canonicalizer and equality of cone_reference.
 """
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from polyexact import cones
+from polyexact import cones, dd, suite
 from polyexact.cones import (
     PolyhedralCone,
     cone_intersect,
@@ -21,10 +25,11 @@ from polyexact.cones import (
     make_cone,
     normal_cone,
 )
-from polyexact.errors import PreconditionError
-from polyexact.linalg import dot, vec
+from polyexact.errors import CapacityError, InputError, PreconditionError
+from polyexact.linalg import dot, rank, vec, vneg
 from polyexact.oracle import definition_normal_cone_oracle, random_polytope
 from polyexact.sets import ConvexSet
+from cone_reference import reference_cones_equal, reference_make_cone
 
 
 def unit_square(kind="h"):
@@ -158,6 +163,61 @@ def test_opposite_direction_witness():
     assert extremal_intersection_condition(n1, make_cone(2)) is None
 
 
+def random_generator_set(seed):
+    """(dim, generators, lineality) in dims 1-5, with duplicates, positive
+    rescalings, negations, a conic combination and lineality. Half the
+    sets lie in the open halfspace x0 > 0 and have no negations or
+    lineality, so they are pointed with redundant generators."""
+    rng = random.Random(seed)
+    dim = 1 + seed % 5
+    low = rng.choice((-3, 1))
+
+    def rand_vec():
+        return (rng.randint(low, 3),) + tuple(rng.randint(-3, 3) for _ in range(dim - 1))
+
+    gens = [rand_vec() for _ in range(rng.randint(0, dim + 3))]
+    for g in list(gens):
+        roll = rng.random()
+        if roll < 0.2 and low < 0:
+            gens.append(vneg(g))
+        elif roll < 0.35:
+            gens.append(tuple(F(rng.randint(1, 4), rng.randint(1, 3)) * x for x in g))
+    if len(gens) >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(gens, 2)
+        s, t = rng.randint(0, 3), rng.randint(1, 3)
+        gens.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    rng.shuffle(gens)
+    lin = [rand_vec() for _ in range(rng.choice((0, 0, 1, 2) if low < 0 else (0,)))]
+    return dim, gens, lin
+
+
+def test_make_cone_matches_reference_on_random_sets():
+    shapes = set()
+    for seed in range(2000):
+        dim, gens, lin = random_generator_set(seed)
+        c = make_cone(dim, gens, lin)
+        assert c == reference_make_cone(dim, gens, lin), seed
+        shapes.add((bool(c.generators), len(c.lineality) == dim, bool(c.lineality)))
+    # trivial, pointed, with both rays and lineality, and the whole space
+    assert {(False, False, False), (True, False, False), (True, False, True),
+            (False, True, True)} <= shapes
+
+
+def test_make_cone_matches_reference_on_suite_inputs(monkeypatch):
+    calls = []
+    build = cones.make_cone
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "make_cone", recorded)
+    assert suite.run_suite(dims=(2, 3), seed_range=(1, 6)).ok
+    assert len(calls) > 80
+    for args, kwargs in calls:
+        assert build(*args, **kwargs) == reference_make_cone(*args, **kwargs)
+
+
 def test_canonical_equality_iff_semantic_equality():
     shapes = [
         make_cone(2, generators=[(1, 0), (0, 1)]),
@@ -165,10 +225,66 @@ def test_canonical_equality_iff_semantic_equality():
         make_cone(2, generators=[(1, 0)], lineality=[(0, 1)]),
         make_cone(2, generators=[(1, 0), (0, 1), (0, -1)]),
         make_cone(2, generators=[(1, 1), (1, -1)]),
+        make_cone(2, lineality=[(1, 0), (0, 1)]),
+        make_cone(3, generators=[(1, 0, 0), (0, 1, 0)]),
     ]
+    shapes += [make_cone(*random_generator_set(seed)) for seed in range(60)]
     for i, a in enumerate(shapes):
         for b in shapes[i:]:
-            assert (a == b) == cones_equal(a, b)
+            assert (a == b) == cones_equal(a, b) == reference_cones_equal(a, b)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9).filter(bool)
+
+
+@st.composite
+def cone_inputs(draw):
+    dim = draw(st.integers(1, 4))
+    vectors = st.tuples(*[st.integers(-3, 3)] * dim)
+    return dim, draw(st.lists(vectors, max_size=dim + 2)), draw(st.lists(vectors, max_size=1))
+
+
+@PROPERTY
+@given(cone_inputs(), st.data())
+def test_make_cone_ignores_order_scale_and_implied_generators(inputs, data):
+    dim, gens, lin = inputs
+    c = make_cone(dim, gens, lin)
+    assert c == reference_make_cone(dim, gens, lin)
+    assert make_cone(dim, data.draw(st.permutations(gens)), lin) == c
+    scales = data.draw(st.lists(POSITIVE, min_size=len(gens), max_size=len(gens)))
+    assert make_cone(dim, [tuple(s * x for x in g) for s, g in zip(scales, gens)], lin) == c
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+    combination = tuple(sum(w * g[j] for w, g in zip(weights, gens)) for j in range(dim))
+    assert make_cone(dim, gens + [combination], lin) == c
+
+
+@PROPERTY
+@given(cone_inputs(), st.data())
+def test_negated_generator_joins_the_lineality(inputs, data):
+    dim, gens, lin = inputs
+    assume(gens)
+    g = data.draw(st.sampled_from(gens))
+    c = make_cone(dim, gens + [vneg(g)], lin)
+    assert rank(list(c.lineality) + [g]) == len(c.lineality)
+    assert c == make_cone(dim, gens, lin + [g])
+    assert c == reference_make_cone(dim, gens + [vneg(g)], lin)
+
+
+def test_wrong_length_vectors_rejected():
+    with pytest.raises(InputError):
+        make_cone(2, generators=[(1, 2, 3)])
+    with pytest.raises(InputError):
+        make_cone(2, generators=[(1, 0)], lineality=[(0, 1, 1)])
+
+
+@pytest.mark.parametrize("cap", ["MAX_LIVE_RAYS", "MAX_ROWS"])
+def test_dd_caps_apply(monkeypatch, cap):
+    square = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
+    assert len(make_cone(3, square).generators) == 4
+    monkeypatch.setattr(dd, cap, 2)
+    with pytest.raises(CapacityError):
+        make_cone(3, square)
 
 
 def test_contains_solves_each_point_once(monkeypatch):

@@ -32,6 +32,8 @@ from polyexact.lp import (
 )
 from polyexact.oracle import lp_mutations, random_pair_with_common_point, random_lp
 from polyexact.sets import ConvexSet
+import cone_reference
+from cone_reference import reference_make_cone
 from reach_reference import reach_program, reference_reach
 
 
@@ -396,13 +398,26 @@ def _corner_programs(dim, seeds):
 
 
 def _conic_programs(monkeypatch, dim, seeds):
-    """The membership programs of normal_cone at each pair's anchor."""
-    def run():
+    """The membership programs of reference_make_cone on the cones
+    normal_cone canonicalizes at each pair's anchor."""
+    inputs = []
+    build = cones.make_cone
+
+    def recorded(*args, **kwargs):
+        inputs.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cones, "make_cone", recorded)
         for seed in seeds:
             s1, s2, anchor = random_pair_with_common_point(seed, dim)
             normal_cone(s1, anchor)
             normal_cone(s2, anchor)
-    return _recorded_programs(monkeypatch, cones, run)
+
+    def run():
+        for args, kwargs in inputs:
+            reference_make_cone(*args, **kwargs)
+    return _recorded_programs(monkeypatch, cone_reference, run)
 
 
 def _library_programs(monkeypatch):
@@ -591,6 +606,16 @@ def test_is_empty_builds_one_tableau(monkeypatch):
     for _ in range(5):
         assert empty.is_empty()
     assert len(built) == 2
+
+
+def test_is_empty_reads_phase_one(monkeypatch):
+    rows = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1)]
+    monkeypatch.setattr(lp_module, "_phase_two", lambda tab, lp: pytest.fail("phase two ran"))
+    assert not ConvexSet.from_hrep(2, ineqs=rows).is_empty()
+    # "nonempty" rests on the phase-one point, which must satisfy the rows
+    monkeypatch.setattr(lp_module._Tableau, "point", lambda self: (F(2), F(0)))
+    with pytest.raises(InternalError):
+        ConvexSet.from_hrep(2, ineqs=rows).is_empty()
 
 
 # -- the integer pivot ----------------------------------------------------------
