@@ -23,7 +23,6 @@ from .linalg import (
     lead_normalized,
     reduce_mod_subspace,
     rref,
-    unit_vec,
     vec,
     vneg,
     zero_vec,
@@ -40,6 +39,9 @@ class PolyhedralCone:
     # threads asking at once may both solve, and store the same answer
     _members: dict = field(default_factory=dict, init=False, compare=False,
                            hash=False, repr=False)
+    # (rays, lineality) of the polar cone, from the double description
+    # make_cone ran; not part of the cone's value
+    _polar: tuple | None = field(default=None, compare=False, hash=False, repr=False)
 
     def is_trivial(self) -> bool:
         return not self.generators and not self.lineality
@@ -84,12 +86,13 @@ def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
     of P orthogonal to it, as in dd's adjacency test (Fukuda & Prodon
     1996). g lies in the lineality space iff Z(g) is all of P. The rest
     are reduced modulo that space, and a reduced generator is an extreme
-    ray iff no other one h has Z(g) within Z(h). Vectors of the wrong
+    ray iff no other one h has Z(g) within Z(h). The cone keeps the
+    polar's rays and lineality for cone_rows. Vectors of the wrong
     length raise InputError, and the DD caps raise CapacityError.
     """
     gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
     lin = [vec(l) for l in lineality if not is_zero_vec(vec(l))]
-    polar, _ = dd.cone_from_inequalities(gens + lin + [vneg(l) for l in lin], dim)
+    polar, polar_lin = dd.cone_from_inequalities(gens + lin + [vneg(l) for l in lin], dim)
     full = (1 << len(polar)) - 1
     zero_sets = [sum(1 << k for k, p in enumerate(polar) if not dot(g, p)) for g in gens]
     lin_rows, pivots = rref([list(l) for l in lin]
@@ -101,11 +104,14 @@ def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
     extreme = [g for g, z in reduced.items()
                if not any(h != g and z & w == z for h, w in reduced.items())]
     return PolyhedralCone(dim, tuple(sorted(extreme)),
-                          tuple(sorted(tuple(row) for row in lin_rows)))
+                          tuple(sorted(tuple(row) for row in lin_rows)), (polar, polar_lin))
 
 
 def cone_negate(c: PolyhedralCone) -> PolyhedralCone:
-    return PolyhedralCone(c.dim, tuple(sorted(vneg(g) for g in c.generators)), c.lineality)
+    """-c. Its polar is the polar of c negated: the rays negated, the
+    lineality the same."""
+    polar = c._polar and (tuple(map(vneg, c._polar[0])), c._polar[1])
+    return PolyhedralCone(c.dim, tuple(sorted(vneg(g) for g in c.generators)), c.lineality, polar)
 
 
 def cone_sum(a: PolyhedralCone, b: PolyhedralCone) -> PolyhedralCone:
@@ -114,19 +120,12 @@ def cone_sum(a: PolyhedralCone, b: PolyhedralCone) -> PolyhedralCone:
 
 
 def cone_rows(c: PolyhedralCone) -> tuple[Vec, ...]:
-    """Inequality normals a with c = {x : a.x <= 0 for all a}."""
-    gens = list(c.generators)
-    for l in c.lineality:
-        gens.append(l)
-        gens.append(vneg(l))
-    if not gens:
-        # only the origin: pin every coordinate
-        rows = []
-        for i in range(c.dim):
-            rows.append(unit_vec(c.dim, i))
-            rows.append(unit_vec(c.dim, i, -1))
-        return tuple(rows)
-    rays, lin = dd.cone_from_inequalities(gens, c.dim)
+    """Inequality normals a with c = {x : a.x <= 0 for all a}: the rays
+    of the polar cone and both signs of its lineality, as make_cone
+    kept them. A cone built by hand runs that double description here.
+    The origin's polar is the whole space, so its rows pin every
+    coordinate."""
+    rays, lin = c._polar or dd.cone_from_inequalities(list(c.sample_directions()), c.dim)
     rows = list(rays)
     for l in lin:
         rows.append(l)

@@ -18,6 +18,16 @@ solver:
   recession direction (A ray <= 0, E ray = 0, sign-compatible) with
   c.ray < 0.
 
+The check decides these predicates in scaled integers. Each row
+a.x <= b (or = b) becomes the int row s*a with int right-hand side s*b,
+s the lcm of the row's denominators (integer_rows), and each
+certificate vector is brought over one common denominator, so every
+test is an int dot product compared with a scaled bound and values
+are compared by cross-multiplying. The integer form is built from the
+program's own rows, never from the tableau, so the check does not
+depend on the solver. A PreparedSystem builds it once and checks every
+solve against it; solve_lp and direct calls build it per call.
+
 The solver is a two-phase simplex with Bland's rule on an integer
 tableau: all rows share one positive denominator and pivots use the
 fraction-free (Bareiss) update, so arithmetic stays in plain ints and
@@ -57,14 +67,23 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import mul
 from typing import Union
 
-from .errors import InputError, InternalError, PreconditionError
+from .errors import CapacityError, InputError, InternalError, PreconditionError
 from .linalg import Vec, frac, lcm_all, vec
 
 FREE = 0
 NONNEG = 1
 NONPOS = -1
+
+# caps on what make_program accepts: rows, and decimal digits in the
+# numerator or the denominator of one literal
+MAX_ROWS = 2048
+MAX_LITERAL_DIGITS = 1000
+_LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
 
 
 @dataclass(frozen=True)
@@ -86,8 +105,13 @@ def make_program(objective, ineqs=(), eqs=(), signs=None) -> LinearProgram:
 
     ineqs and eqs are sequences of (coefficients, rhs) pairs; signs is an
     optional sequence over {FREE, NONNEG, NONPOS}, default all free. A
-    zero objective turns solve_lp into a pure feasibility test.
+    zero objective turns solve_lp into a pure feasibility test. More
+    than MAX_ROWS rows, or a literal with more than MAX_LITERAL_DIGITS
+    digits in its numerator or denominator, raise CapacityError.
     """
+    ineqs, eqs = list(ineqs), list(eqs)
+    if len(ineqs) + len(eqs) > MAX_ROWS:
+        raise CapacityError(f"{len(ineqs) + len(eqs)} rows exceed the cap of {MAX_ROWS}")
     obj = vec(objective)
     n = len(obj)
     ia, ib, ea, eb = [], [], [], []
@@ -103,6 +127,9 @@ def make_program(objective, ineqs=(), eqs=(), signs=None) -> LinearProgram:
             raise InputError(f"equality row has {len(a)} coefficients, expected {n}")
         ea.append(a)
         eb.append(frac(b))
+    for x in chain(obj, ib, eb, *ia, *ea):
+        if abs(x.numerator) >= _LITERAL_BOUND or x.denominator >= _LITERAL_BOUND:
+            raise CapacityError(f"a literal has more than {MAX_LITERAL_DIGITS} digits")
     if signs is None:
         sg = (FREE,) * n
     else:
@@ -392,10 +419,11 @@ class _Tableau:
         return out
 
 
-def _phase_one(lp: LinearProgram) -> _Tableau | LpInfeasible:
+def _phase_one(lp: LinearProgram, rows: IntegerRows | None = None) -> _Tableau | LpInfeasible:
     """A tableau holding a feasible basis of lp's constraints with the
-    artificials driven out, or the verified Farkas outcome. Bland's rule
-    here never reads lp.objective."""
+    artificials driven out, or the Farkas outcome, verified against
+    rows, the integer form of lp's rows (built at the check if None).
+    Bland's rule here never reads lp.objective."""
     tab = _Tableau(lp)
     obj = tab.phase_one_row()
     if tab._run(obj) is not None:
@@ -407,15 +435,17 @@ def _phase_one(lp: LinearProgram) -> _Tableau | LpInfeasible:
             farkas_ineq=tuple(-w[r] for r in range(tab.m1)),
             farkas_eq=tuple(-w[tab.m1 + k] for k in range(tab.m2)),
         )
-        _check(lp, outcome)
+        _check(lp, outcome, rows)
         return outcome
     tab._drive_out_artificials()
     return tab
 
 
-def _phase_two(tab: _Tableau, lp: LinearProgram) -> LpOutcome:
+def _phase_two(tab: _Tableau, lp: LinearProgram, rows: IntegerRows | None = None) -> LpOutcome:
     """Optimize lp.objective from the phase-one basis in tab, which this
-    pivots; the certificate is verified against lp before return."""
+    pivots; the certificate is verified against lp, with rows the
+    integer form of its rows (built at the check if None), before
+    return."""
     scale, obj = tab.objective_row(lp.objective)
     unbounded_col = tab._run(obj)
     if unbounded_col is not None:
@@ -429,7 +459,7 @@ def _phase_two(tab: _Tableau, lp: LinearProgram) -> LpOutcome:
             if v:
                 ray[j] += sg * v
         outcome = LpUnbounded(ray=tuple(ray), point=tab.point())
-        _check(lp, outcome)
+        _check(lp, outcome, rows)
         return outcome
     value = Fraction(-obj[-1], tab.den) / scale
     w = tab.row_multipliers(obj, 0, Fraction(scale))
@@ -439,7 +469,7 @@ def _phase_two(tab: _Tableau, lp: LinearProgram) -> LpOutcome:
         dual_ineq=tuple(-w[r] for r in range(tab.m1)),
         dual_eq=tuple(w[tab.m1 + k] for k in range(tab.m2)),
     )
-    _check(lp, outcome)
+    _check(lp, outcome, rows)
     return outcome
 
 
@@ -465,7 +495,8 @@ class PreparedSystem:
     verified once, for every objective; that certificate does not
     involve the objective either. A feasible system checks its
     phase-one point against the rows once, so infeasible is None only
-    with a verified witness.
+    with a verified witness. The integer form of the rows that every
+    check reads (integer_rows) is built once, here.
 
     solve_with_column(c, j, column) also fills in a column the prepared
     program leaves zero, so a family of programs that differ in one
@@ -477,8 +508,10 @@ class PreparedSystem:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self._start = _phase_one(lp)
-        if not isinstance(self._start, LpInfeasible) and not _feasible(lp, self._start.point()):
+        self.rows = integer_rows(lp)
+        self._start = _phase_one(lp, self.rows)
+        if (not isinstance(self._start, LpInfeasible)
+                and not _feasible(self.rows, lp.var_signs, self._start.point())):
             raise InternalError("phase-one point fails the rows")
 
     @property
@@ -496,7 +529,7 @@ class PreparedSystem:
         c = self._objective(objective)
         if isinstance(self._start, LpInfeasible):
             return self._start
-        return _phase_two(self._start.copy(), replace(self.lp, objective=c))
+        return _phase_two(self._start.copy(), replace(self.lp, objective=c), self.rows)
 
     def solve_with_column(self, objective, j: int, column) -> LpOutcome:
         """Solve the program whose variable j has the coefficients column,
@@ -524,105 +557,162 @@ class PreparedSystem:
         full = replace(lp, objective=c, ineq_lhs=lhs[:m1], eq_lhs=lhs[m1:])
         tab = self._start.copy()
         tab.put_column(j, [v.numerator for v in start])
-        return _phase_two(tab, full)
+        return _phase_two(tab, full, self.rows.with_column(j, col))
 
 
-def _check(lp: LinearProgram, outcome: LpOutcome) -> None:
-    if not verify_certificate(lp, outcome):
+def _check(lp: LinearProgram, outcome: LpOutcome, rows: IntegerRows | None = None) -> None:
+    if not verify_certificate(lp, outcome, rows):
         raise InternalError(f"certificate failed self-check: {outcome!r}")
 
 
-def _feasible(lp: LinearProgram, x: Vec) -> bool:
-    if len(x) != lp.dim:
-        return False
-    for a, b in zip(lp.ineq_lhs, lp.ineq_rhs):
-        if sum(ai * xi for ai, xi in zip(a, x)) > b:
-            return False
-    for a, b in zip(lp.eq_lhs, lp.eq_rhs):
-        if sum(ai * xi for ai, xi in zip(a, x)) != b:
-            return False
-    for s, xi in zip(lp.var_signs, x):
-        if s == NONNEG and xi < 0:
-            return False
-        if s == NONPOS and xi > 0:
-            return False
-    return True
+@dataclass(frozen=True)
+class IntegerRows:
+    """The rows of a program over the integers, as the certificate check
+    reads them.
+
+    A row a.x <= b (or = b) is kept as (A, B, k): A = s*a and B = s*b
+    are ints, where s is the lcm of the row's denominators, and
+    k = S/s, where S (scale) is the lcm of every row's s. With
+    multipliers y = Y/D over one denominator D, sum_i y_i a_i is then
+    sum_i (Y_i k_i) A_i / (D S), an int sum with no division per row.
+    """
+
+    ineq: tuple[tuple[tuple[int, ...], int, int], ...]
+    eq: tuple[tuple[tuple[int, ...], int, int], ...]
+    scale: int
+
+    def with_column(self, j: int, column: Vec) -> "IntegerRows":
+        """The rows with column j, zero here, set to column (over the
+        inequality rows, then the equality rows). Each entry times its
+        row's s must be an integer, so no row's s changes."""
+        m1 = len(self.ineq)
+        out = []
+        for r, ((a, b, k), x) in enumerate(zip(self.ineq + self.eq, column)):
+            v = x * (self.scale // k)
+            if v.denominator != 1:
+                raise InternalError(f"column entry {x} is not integral under row {r}'s scale")
+            out.append((a[:j] + (v.numerator,) + a[j + 1:], b, k))
+        return IntegerRows(tuple(out[:m1]), tuple(out[m1:]), self.scale)
 
 
-def _combine(lp: LinearProgram, y: Vec, z: Vec) -> Vec:
-    out = [Fraction(0)] * lp.dim
-    for yi, a in zip(y, lp.ineq_lhs):
-        if yi:
-            for j in range(lp.dim):
-                out[j] += yi * a[j]
-    for zk, a in zip(z, lp.eq_lhs):
-        if zk:
-            for j in range(lp.dim):
-                out[j] += zk * a[j]
-    return tuple(out)
+def _integer_row(a: Vec, b: Fraction) -> tuple[tuple[int, ...], int, int]:
+    xs, s = _over_one_denominator((*a, b))
+    return tuple(xs[:-1]), xs[-1], s
 
 
-def _sign_ok(lp: LinearProgram, g: Vec) -> bool:
-    for s, gj in zip(lp.var_signs, g):
-        if s == FREE and gj != 0:
+def integer_rows(lp: LinearProgram) -> IntegerRows:
+    """The integer form of lp's rows (see IntegerRows)."""
+    ineq = [_integer_row(a, b) for a, b in zip(lp.ineq_lhs, lp.ineq_rhs)]
+    eq = [_integer_row(a, b) for a, b in zip(lp.eq_lhs, lp.eq_rhs)]
+    scale = lcm(*[s for _, _, s in ineq + eq])
+    return IntegerRows(tuple((a, b, scale // s) for a, b, s in ineq),
+                       tuple((a, b, scale // s) for a, b, s in eq), scale)
+
+
+def _over_one_denominator(v) -> tuple[list[int], int]:
+    """(V, d) with v = V/d, where d > 0 is the lcm of v's denominators."""
+    dens = [x.denominator for x in v]
+    d = lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // e) for x, e in zip(v, dens)], d
+
+
+def _in_orthant(signs, v) -> bool:
+    """v meets the sign restriction of each variable."""
+    return all(s * x >= 0 for s, x in zip(signs, v))
+
+
+def _dual_signs_ok(signs, g) -> bool:
+    """g is zero on free variables, >= 0 on nonnegative ones and <= 0
+    on nonpositive ones."""
+    return all(s * x >= 0 if s else x == 0 for s, x in zip(signs, g))
+
+
+def _satisfies(rows: IntegerRows, signs, x: list[int], d: int) -> bool:
+    """x/d satisfies the rows and the sign restrictions; x has one entry
+    per variable."""
+    for a, b, _ in rows.ineq:
+        if sum(map(mul, a, x)) > b * d:
             return False
-        if s == NONNEG and gj < 0:
+    for a, b, _ in rows.eq:
+        if sum(map(mul, a, x)) != b * d:
             return False
-        if s == NONPOS and gj > 0:
-            return False
-    return True
+    return _in_orthant(signs, x)
 
 
-def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
+def _feasible(rows: IntegerRows, signs, x: Vec) -> bool:
+    return _satisfies(rows, signs, *_over_one_denominator(x))
+
+
+def _combine(rows: IntegerRows, y: list[int], z: list[int], n: int) -> tuple[list[int], int]:
+    """(sum_i y_i k_i A_i + sum_k z_k k_k E_k, the same combination of
+    the right-hand sides), skipping zero multipliers."""
+    out = [0] * n
+    rhs = 0
+    for (a, b, k), w in zip(chain(rows.ineq, rows.eq), chain(y, z)):
+        if w:
+            f = w * k
+            rhs += f * b
+            out = [o + f * x for o, x in zip(out, a)]
+    return out, rhs
+
+
+def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
+                       rows: IntegerRows | None = None) -> bool:
     """Re-check the certificate algebra exactly. Malformed certificates
-    return False rather than raising."""
+    return False rather than raising; entries are ints or Fractions.
+
+    The check runs in integers: rows is integer_rows(lp), built here
+    when not given, and each certificate vector is brought over one
+    common denominator, so every test is an int dot product compared
+    with a scaled bound, and values are compared by cross-multiplying.
+    """
     try:
+        n, m1, m2 = lp.dim, len(lp.ineq_lhs), len(lp.eq_lhs)
+        if rows is None:
+            rows = integer_rows(lp)
         if isinstance(outcome, LpOptimal):
             x, y, z = outcome.point, outcome.dual_ineq, outcome.dual_eq
-            if len(y) != len(lp.ineq_lhs) or len(z) != len(lp.eq_lhs):
+            if len(x) != n or len(y) != m1 or len(z) != m2:
                 return False
-            if not _feasible(lp, x):
+            xs, dx = _over_one_denominator(x)
+            if not _satisfies(rows, lp.var_signs, xs, dx):
                 return False
-            if any(yi < 0 for yi in y):
+            w, d = _over_one_denominator(tuple(y) + tuple(z))
+            if any(v < 0 for v in w[:m1]):
                 return False
-            g = list(_combine(lp, y, tuple(-zk for zk in z)))
-            for j in range(lp.dim):
-                g[j] += lp.objective[j]
-            if not _sign_ok(lp, tuple(g)):
+            # g = c + A^T y - E^T z = cs/dc + gs/ds
+            gs, rhs = _combine(rows, w[:m1], [-v for v in w[m1:]], n)
+            cs, dc = _over_one_denominator(lp.objective)
+            ds = d * rows.scale
+            if not _dual_signs_ok(lp.var_signs, [c * ds + g * dc for c, g in zip(cs, gs)]):
                 return False
-            primal = sum(c * xi for c, xi in zip(lp.objective, x))
-            dual = (sum(zk * fk for zk, fk in zip(z, lp.eq_rhs))
-                    - sum(yi * bi for yi, bi in zip(y, lp.ineq_rhs)))
-            return primal == outcome.value and dual == outcome.value
+            # c.x and f.z - b.y = -rhs/ds must both equal the value p/q
+            p, q = outcome.value.numerator, outcome.value.denominator
+            return sum(map(mul, cs, xs)) * q == p * dc * dx and -rhs * q == p * ds
         if isinstance(outcome, LpInfeasible):
             y, z = outcome.farkas_ineq, outcome.farkas_eq
-            if len(y) != len(lp.ineq_lhs) or len(z) != len(lp.eq_lhs):
+            if len(y) != m1 or len(z) != m2:
                 return False
-            if any(yi < 0 for yi in y):
+            w, _ = _over_one_denominator(tuple(y) + tuple(z))
+            if any(v < 0 for v in w[:m1]):
                 return False
-            h = _combine(lp, y, z)
-            if not _sign_ok(lp, h):
-                return False
-            bound = (sum(yi * bi for yi, bi in zip(y, lp.ineq_rhs))
-                     + sum(zk * fk for zk, fk in zip(z, lp.eq_rhs)))
-            return bound < 0
+            h, rhs = _combine(rows, w[:m1], w[m1:], n)
+            return _dual_signs_ok(lp.var_signs, h) and rhs < 0
         if isinstance(outcome, LpUnbounded):
             r, x = outcome.ray, outcome.point
-            if len(r) != lp.dim or not _feasible(lp, x):
+            if len(r) != n or len(x) != n:
                 return False
-            for a in lp.ineq_lhs:
-                if sum(ai * ri for ai, ri in zip(a, r)) > 0:
-                    return False
-            for a in lp.eq_lhs:
-                if sum(ai * ri for ai, ri in zip(a, r)) != 0:
-                    return False
-            for s, ri in zip(lp.var_signs, r):
-                if s == NONNEG and ri < 0:
-                    return False
-                if s == NONPOS and ri > 0:
-                    return False
-            slope = sum(c * ri for c, ri in zip(lp.objective, r))
-            return slope < 0
+            if not _feasible(rows, lp.var_signs, x):
+                return False
+            rs, _ = _over_one_denominator(r)
+            if any(sum(map(mul, a, rs)) > 0 for a, _, _ in rows.ineq):
+                return False
+            if any(sum(map(mul, a, rs)) for a, _, _ in rows.eq):
+                return False
+            cs, _ = _over_one_denominator(lp.objective)
+            return _in_orthant(lp.var_signs, rs) and sum(map(mul, cs, rs)) < 0
         return False
     except (TypeError, AttributeError, IndexError):
         return False

@@ -118,21 +118,27 @@ def test_cone_algebra():
     assert quad.generators == ((1, 1),)
 
 
-def test_cone_rows_roundtrip():
-    for gens, lin in [
+def test_cone_rows_roundtrip(monkeypatch):
+    built = [make_cone(2, generators=gens, lineality=lin) for gens, lin in [
         ([(1, 0), (0, 1)], []),
         ([(1, 1)], []),
         ([(0, 1)], [(1, 0)]),
         ([], []),
         ([(1, 0), (0, 1), (-1, -1)], []),
-    ]:
-        c = make_cone(2, generators=gens, lineality=lin)
-        rows = cone_rows(c)
+        ([(2, 1), (1, 3), (1, 1)], []),
+    ]]
+    built += [cone_negate(c) for c in built]
+    # cones from make_cone and cone_negate keep their polar, so reading
+    # their rows runs no double description; a cone built by hand does
+    with monkeypatch.context() as patch:
+        patch.setattr(dd, "cone_from_inequalities", lambda *args: pytest.fail("DD ran"))
+        kept = [cone_rows(c) for c in built]
+    by_hand = [cone_rows(PolyhedralCone(2, c.generators, c.lineality)) for c in built]
+    for c, rows in zip(built + built, kept + by_hand):
         for g in c.sample_directions():
             assert all(dot(a, g) <= 0 for a in rows)
         # rebuild through the rows and compare
-        from polyexact.dd import cone_from_inequalities
-        rays, l = cone_from_inequalities([vec(a) for a in rows], 2)
+        rays, l = dd.cone_from_inequalities([vec(a) for a in rows], 2)
         assert make_cone(2, rays, l) == c
 
 

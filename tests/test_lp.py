@@ -3,20 +3,24 @@
 A certificate accepted by verify_certificate is a proof of the claimed
 outcome, so the random loops need no second solver: they check that the
 solver always returns a verifying certificate and that tampered
-certificates are rejected. The prepared-system tests do compare against
+certificates are rejected. The checker works in scaled integers, and
+every verdict it gives here is required to equal the Fraction check it
+replaced, reference_verify. The prepared-system tests do compare against
 a second solver, reference_solve, because they promise more than a valid
 certificate: the very outcome a cold two-phase solve gives.
 """
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyexact import cones
 from polyexact import lp as lp_module
 from polyexact.calculus import difference_interiority, standard_probes
 from polyexact.cones import normal_cone
-from polyexact.errors import InputError, InternalError, PreconditionError
+from polyexact.errors import CapacityError, InputError, InternalError, PreconditionError
 from polyexact.linalg import lcm_all, vneg, zero_vec
 from polyexact.lp import (
     FREE,
@@ -26,6 +30,7 @@ from polyexact.lp import (
     LpOptimal,
     LpUnbounded,
     PreparedSystem,
+    integer_rows,
     make_program,
     solve_lp,
     verify_certificate,
@@ -34,6 +39,7 @@ from polyexact.oracle import lp_mutations, random_pair_with_common_point, random
 from polyexact.sets import ConvexSet
 import cone_reference
 from cone_reference import reference_make_cone
+from lp_reference import reference_verify
 from reach_reference import reach_program, reference_reach
 
 
@@ -140,45 +146,165 @@ def test_row_length_mismatch_rejected():
         make_program([1], signs=[NONNEG, NONNEG])
 
 
+def test_row_cap():
+    rows = [((1,), 0)] * lp_module.MAX_ROWS
+    make_program([0], ineqs=rows[1:], eqs=rows[:1])
+    with pytest.raises(CapacityError):
+        make_program([0], ineqs=rows, eqs=[((1,), 0)])
+    with pytest.raises(CapacityError):
+        make_program([0], ineqs=[((1,), 0)], eqs=rows)
+
+
+def test_literal_cap():
+    # one digit past the cap, in a numerator or a denominator
+    widest = 10 ** lp_module.MAX_LITERAL_DIGITS - 1
+    make_program([widest], ineqs=[((F(1, widest),), -widest)], eqs=[((1,), F(widest, 7))])
+    for wide in (widest + 1, -widest - 1, F(1, widest + 1), str(widest + 1)):
+        for objective, ineqs, eqs in [
+            ([wide], [], []),
+            ([1], [((wide,), 0)], []),
+            ([1], [((1,), wide)], []),
+            ([1], [], [((wide,), 0)]),
+            ([1], [], [((1,), wide)]),
+        ]:
+            with pytest.raises(CapacityError):
+                make_program(objective, ineqs=ineqs, eqs=eqs)
+
+
 def test_solver_is_deterministic():
     for seed in range(40):
         lp = random_lp(seed)
         assert solve_lp(lp) == solve_lp(lp)
 
 
+def _verdict(lp, outcome):
+    """verify_certificate's answer, after checking that reference_verify
+    gives it too."""
+    got = verify_certificate(lp, outcome)
+    assert reference_verify(lp, outcome) == got, (lp, outcome)
+    return got
+
+
 def test_random_lps_verify():
     statuses = set()
-    for seed in range(300):
+    for seed in range(3000):
         lp = random_lp(seed)
         out = solve_lp(lp)
         statuses.add(out.status)
-        assert verify_certificate(lp, out)
+        assert _verdict(lp, out)
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def test_mutated_certificates_rejected():
     mutated = 0
-    for seed in range(300):
+    for seed in range(3000):
         lp = random_lp(seed)
         out = solve_lp(lp)
         for bad in lp_mutations(lp, out):
             mutated += 1
-            assert not verify_certificate(lp, bad)
-    assert mutated > 300
+            assert not _verdict(lp, bad)
+    assert mutated > 3000
+
+
+def _vector_fields(outcome):
+    return [f.name for f in fields(outcome) if f.name != "value"]
+
+
+def _tampers(outcome):
+    """Copies of outcome with one entry of one certificate vector, or the
+    value, moved by 1/7 either way."""
+    for step in (F(1, 7), F(-1, 7)):
+        if isinstance(outcome, LpOptimal):
+            yield replace(outcome, value=outcome.value + step)
+        for name in _vector_fields(outcome):
+            v = getattr(outcome, name)
+            for i in range(len(v)):
+                yield replace(outcome, **{name: v[:i] + (v[i] + step,) + v[i + 1:]})
+
+
+def _malformed(outcome):
+    """Copies of outcome with a vector one entry short or long, an entry
+    None, a vector None, or the value None."""
+    for name in _vector_fields(outcome):
+        v = getattr(outcome, name)
+        yield replace(outcome, **{name: v + (F(0),)})
+        yield replace(outcome, **{name: None})
+        if v:
+            yield replace(outcome, **{name: v[:-1]})
+        for i in range(len(v)):
+            yield replace(outcome, **{name: v[:i] + (None,) + v[i + 1:]})
+    if isinstance(outcome, LpOptimal):
+        yield replace(outcome, value=None)
 
 
 def test_cross_status_certificates_rejected():
     lp = make_program([-1], signs=[NONNEG])
     opt = LpOptimal(point=(F(0),), value=F(0), dual_ineq=(), dual_eq=())
-    assert not verify_certificate(lp, opt)
-    assert not verify_certificate(lp, LpInfeasible(farkas_ineq=(), farkas_eq=()))
+    assert not _verdict(lp, opt)
+    assert not _verdict(lp, LpInfeasible(farkas_ineq=(), farkas_eq=()))
 
 
 def test_malformed_certificates_return_false():
     lp = make_program([1, 1], ineqs=[((1, 0), 1)], signs=[NONNEG, NONNEG])
-    assert not verify_certificate(lp, LpOptimal(point=(F(0),), value=F(0), dual_ineq=(F(0),), dual_eq=()))
-    assert not verify_certificate(lp, LpOptimal(point=(F(0), F(0)), value=F(0), dual_ineq=(), dual_eq=()))
-    assert not verify_certificate(lp, "nonsense")
+    assert not _verdict(lp, LpOptimal(point=(F(0),), value=F(0), dual_ineq=(F(0),), dual_eq=()))
+    assert not _verdict(lp, LpOptimal(point=(F(0), F(0)), value=F(0), dual_ineq=(), dual_eq=()))
+    assert not _verdict(lp, "nonsense")
+    statuses = set()
+    for seed in range(300):
+        for lp in (random_lp(seed), _signed_lp(seed)):
+            out = solve_lp(lp)
+            statuses.add(out.status)
+            for bad in _malformed(out):
+                assert not _verdict(lp, bad), bad
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+# -- degenerate and redundant programs -------------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9).filter(bool)
+
+
+@st.composite
+def redundant_rewrites(draw):
+    """(lp, rewritten): a random program, signed or free, and the same
+    program with redundant rows: a duplicated row, every row scaled by a
+    positive rational, an implied inequality (a nonnegative combination
+    of rows, loosened) and a pair of equalities dependent on a row, all
+    in a drawn order. Every rewrite keeps the feasible set."""
+    seed = draw(st.integers(0, 2999))
+    lp = draw(st.sampled_from((random_lp(seed), _signed_lp(seed))))
+    ineqs = list(zip(lp.ineq_lhs, lp.ineq_rhs))
+    eqs = list(zip(lp.eq_lhs, lp.eq_rhs))
+    scales = draw(st.lists(POSITIVE, min_size=len(ineqs) + len(eqs),
+                           max_size=len(ineqs) + len(eqs)))
+    rows = [(tuple(s * x for x in a), s * b) for s, (a, b) in zip(scales, ineqs + eqs)]
+    ineqs, eqs = rows[:len(ineqs)], rows[len(ineqs):]
+    if ineqs:
+        ineqs.append(draw(st.sampled_from(ineqs)))
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(ineqs), max_size=len(ineqs)))
+        slack = draw(st.integers(0, 2))
+        ineqs.append((tuple(sum(w * a[j] for w, (a, _) in zip(weights, ineqs))
+                            for j in range(lp.dim)),
+                      sum(w * b for w, (_, b) in zip(weights, ineqs)) + slack))
+    if eqs:
+        a, b = draw(st.sampled_from(eqs))
+        t = draw(POSITIVE) * draw(st.sampled_from((1, -1)))
+        eqs += [(a, b), (tuple(t * x for x in a), t * b)]
+    rewritten = make_program(lp.objective, ineqs=draw(st.permutations(ineqs)),
+                             eqs=draw(st.permutations(eqs)), signs=lp.var_signs)
+    return lp, rewritten
+
+
+@PROPERTY
+@given(redundant_rewrites())
+def test_redundant_rows_keep_status_value_and_certificates(programs):
+    lp, rewritten = programs
+    out, again = solve_lp(lp), solve_lp(rewritten)
+    assert _verdict(rewritten, again)
+    assert again.status == out.status
+    if out.status == "optimal":
+        assert again.value == out.value
 
 
 # -- cross-check against a cold two-phase solve ---------------------------------
@@ -335,12 +461,17 @@ def reference_solve(lp):
 
 def _matches_reference(lp):
     """The outcome reference_solve gives, after checking that solve_lp
-    and a prepared system give it too."""
+    and a prepared system give it too, and that both checkers accept it
+    and judge each single-entry tamper of it alike."""
     expected = reference_solve(lp)
     assert solve_lp(lp) == expected, lp
     # phase one runs on a program with another objective
     blind = PreparedSystem(replace(lp, objective=zero_vec(lp.dim)))
     assert blind.solve(lp.objective) == expected, lp
+    assert _verdict(lp, expected)
+    for bad in _tampers(expected):
+        # a tampered Farkas vector or ray can still be a witness
+        _verdict(lp, bad)
     return expected
 
 
@@ -507,7 +638,10 @@ def test_solve_with_column_matches_reference(monkeypatch):
                 assert out.status == want.status, (seed, j)
                 if want.status == "optimal":
                     assert out.value == want.value, (seed, j)
-                assert verify_certificate(full, out)
+                # the check in the solver read the prepared rows with
+                # the column patched in
+                assert system.rows.with_column(j, column) == integer_rows(full)
+                assert _verdict(full, out)
                 statuses.add(out.status)
     assert statuses == {"optimal", "unbounded"}
     assert infeasible > 100 and sum(reactivated) > 20
@@ -564,8 +698,10 @@ def test_set_systems_match_reference_on_probes_and_row_normals():
                 h = s.hrep()
                 objectives = [vneg(g) for g in probes] + [a for a, _ in h.ineqs]
                 for c in objectives:
-                    expected = reference_solve(make_program(c, ineqs=h.ineqs, eqs=h.eqs))
+                    lp = make_program(c, ineqs=h.ineqs, eqs=h.eqs)
+                    expected = reference_solve(lp)
                     assert s.lp_system().solve(c) == expected, (dim, seed, c)
+                    assert _verdict(lp, expected)
                     solved += 1
     assert solved > 1000
 
@@ -579,7 +715,7 @@ def test_infeasible_system_returns_its_farkas_certificate_for_any_objective():
     for c in [(0, 0), (1, 0), (F(-3, 7), 2), (5, 5)]:
         out = system.solve(c)
         assert out == farkas
-        assert verify_certificate(replace(lp, objective=tuple(map(F, c))), out)
+        assert _verdict(replace(lp, objective=tuple(map(F, c))), out)
 
 
 def test_objective_length_must_match_the_system():
@@ -606,6 +742,30 @@ def test_is_empty_builds_one_tableau(monkeypatch):
     for _ in range(5):
         assert empty.is_empty()
     assert len(built) == 2
+
+
+def test_prepared_system_integerizes_its_rows_once(monkeypatch):
+    built = []
+    original = lp_module.integer_rows
+
+    def counting(lp):
+        built.append(lp)
+        return original(lp)
+
+    monkeypatch.setattr(lp_module, "integer_rows", counting)
+    # x + y <= 1, y <= 1/2, x + y >= 0, and z, whose column is zero
+    lp = make_program([0, 0, 0], ineqs=[((1, 1, 0), 1), ((0, 1, 0), F(1, 2)), ((-1, -1, 0), 0)],
+                      signs=[FREE, FREE, NONNEG])
+    system = PreparedSystem(lp)
+    statuses = {system.solve(c).status
+                for c in [(1, 0, 0), (-1, 0, 0), (0, -1, 0), (F(-1, 3), 1, 0), (-1, -1, 0)]}
+    assert statuses == {"optimal", "unbounded"}
+    out = system.solve_with_column((0, 0, -1), 2, (1, 0, 0))
+    assert isinstance(out, LpOptimal) and out.value == -1
+    assert len(built) == 1
+    # a one-shot solve and a direct check build it per call
+    assert verify_certificate(lp, solve_lp(lp))
+    assert len(built) == 3
 
 
 def test_is_empty_reads_phase_one(monkeypatch):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from polyexact import calculus, cones, suite
+from polyexact import calculus, cones, dd, lp, suite
 from polyexact.sets import ConvexSet
 
 SLICE = dict(dims=(2,), seed_range=(1, 12), lp_count=90, boundary_count=9)
@@ -26,9 +26,10 @@ def _rebind(monkeypatch, module, name, wrapper):
 
 class Counts:
     """Counting wrappers on minkowski, the reach systems and the reaches
-    along each direction, normal_cone, make_cone and the conic
-    membership LPs. Arguments are kept alive, so object identities stay
-    unique for the whole run."""
+    along each direction, normal_cone, make_cone, the conic membership
+    LPs, the double descriptions and the certificate checks, in the
+    solver and in all. Arguments are kept alive, so object identities
+    stay unique for the whole run."""
 
     def __init__(self, monkeypatch):
         self.minkowski = 0
@@ -37,6 +38,9 @@ class Counts:
         self.make_cone = 0
         self.memberships = 0
         self.cone_builds = []
+        self.dd = 0
+        self.checks = 0
+        self.solver_checks = 0
         self._in_normal_cone = []
         minkowski = ConvexSet.minkowski
         reach_system = calculus._reach_system
@@ -44,6 +48,9 @@ class Counts:
         make_cone = cones.make_cone
         normal_cone = cones.normal_cone
         membership = cones._conic_membership
+        cone_from_inequalities = dd.cone_from_inequalities
+        verify_certificate = lp.verify_certificate
+        solver_check = lp._check
 
         def counted_minkowski(s, other):
             self.minkowski += 1
@@ -75,7 +82,22 @@ class Counts:
             self.memberships += 1
             return membership(gens, lin, x)
 
+        def counted_dd(*args):
+            self.dd += 1
+            return cone_from_inequalities(*args)
+
+        def counted_verify(*args):
+            self.checks += 1
+            return verify_certificate(*args)
+
+        def counted_solver_check(*args):
+            self.solver_checks += 1
+            return solver_check(*args)
+
         monkeypatch.setattr(ConvexSet, "minkowski", counted_minkowski)
+        _rebind(monkeypatch, dd, "cone_from_inequalities", counted_dd)
+        _rebind(monkeypatch, lp, "verify_certificate", counted_verify)
+        _rebind(monkeypatch, lp, "_check", counted_solver_check)
         _rebind(monkeypatch, calculus, "_reach_system", counted_system)
         _rebind(monkeypatch, calculus, "_reach_along", counted_reach)
         _rebind(monkeypatch, cones, "make_cone", counted_make_cone)
@@ -127,12 +149,19 @@ def test_slice_counts_are_pinned(monkeypatch):
     its answers there were 1,242 membership LPs, and 874 while
     make_cone still canonicalized by membership LPs. The reaches run on
     28 reach systems, one per ordered pair of sets: the 18 tasks' own
-    pairs and 10 windows."""
+    pairs and 10 windows.
+
+    Every certificate is checked: 2,765 checks, 2,530 of them in the
+    solver and 235 in the LP sweep, so no change may skip or sample
+    them. There are 162 double descriptions; they were 189 while
+    cone_rows ran again the polar DD that make_cone had run."""
     counts = Counts(monkeypatch)
     assert suite.run_suite(**SLICE).ok
     assert counts.minkowski == 18
     assert len(counts.reaches) == 145
     assert counts.make_cone == 91
     assert counts.memberships == 572
+    assert (counts.checks, counts.solver_checks) == (2765, 2530)
+    assert counts.dd == 162
     pairs = [(id(a), id(b)) for a, b, _ in counts.systems]
     assert len(pairs) == len(set(pairs)) == 28
