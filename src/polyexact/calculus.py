@@ -291,6 +291,8 @@ def intersection_rule(s1: ConvexSet, s2: ConvexSet, xbar, probes=None) -> Inters
     n1 = normal_cone(s1, x)
     n2 = normal_cone(s2, x)
     lhs = normal_cone(s1.intersect(s2), x)
+    # a summand equal to the left cone lends it its membership answers
+    lhs = n1 if lhs == n1 else n2 if lhs == n2 else lhs
     rhs = cone_sum(n1, n2)
     if probes is None:
         probes = standard_probes(s1.dim)

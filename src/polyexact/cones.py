@@ -43,9 +43,6 @@ class PolyhedralCone:
     # make_cone ran; not part of the cone's value
     _polar: tuple | None = field(default=None, compare=False, hash=False, repr=False)
 
-    def is_trivial(self) -> bool:
-        return not self.generators and not self.lineality
-
     def contains(self, x) -> bool:
         """Membership by one LP, solved once per point and kept on the
         cone, so asking a shared cone again solves nothing."""

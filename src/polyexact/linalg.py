@@ -7,7 +7,7 @@ integers directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -94,8 +94,8 @@ def lcm_all(nums) -> int:
 
 def integerize(u: Vec) -> tuple[int, ...]:
     """Clear denominators; the common positive factor is dropped."""
-    scale = lcm_all(x.denominator for x in u) if u else 1
-    ints = [int(x * scale) for x in u]
+    scale = lcm(*(x.denominator for x in u))
+    ints = [x.numerator * (scale // x.denominator) for x in u]
     g = 0
     for n in ints:
         g = gcd(g, n)
@@ -135,6 +135,31 @@ def rank(rows: list[Vec]) -> int:
         return 0
     reduced, _ = rref([list(r) for r in rows])
     return len(reduced)
+
+
+def integer_rank(rows: list[tuple[int, ...]]) -> int:
+    """Rank of integer rows by fraction-free (Bareiss) elimination: each
+    update divides exactly by the previous pivot, so entries stay ints
+    (minors of the input) and no Fraction is made."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    r, prev = 0, 1
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        prow = mat[r]
+        piv = prow[c]
+        for i in range(r + 1, len(mat)):
+            row = mat[i]
+            f = row[c]
+            mat[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = piv
+        r += 1
+        if r == len(mat):
+            break
+    return r
 
 
 def reduce_mod_subspace(v: Vec, rref_rows: list[list[Fraction]],

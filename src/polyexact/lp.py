@@ -25,13 +25,17 @@ certificate vector is brought over one common denominator, so every
 test is an int dot product compared with a scaled bound and values
 are compared by cross-multiplying. The integer form is built from the
 program's own rows, never from the tableau, so the check does not
-depend on the solver. A PreparedSystem builds it once and checks every
-solve against it; solve_lp and direct calls build it per call.
+depend on the solver.
 
 The solver is a two-phase simplex with Bland's rule on an integer
 tableau: all rows share one positive denominator and pivots use the
 fraction-free (Bareiss) update, so arithmetic stays in plain ints and
-results are bit-for-bit deterministic.
+results are bit-for-bit deterministic. The tableau starts from the same
+integer form: its rows are the int rows s*a, s*b, negated where b < 0.
+Each solve builds that form once, for the tableau and the check alike:
+solve_lp per call, a PreparedSystem once for all its solves. Points,
+rays and multipliers are summed as ints over the tableau's denominator,
+and each entry becomes one Fraction at the end.
 
 Columns are numbered as in the textbook layout (a +/- pair per free
 variable, a slack per inequality, an artificial per row), and Bland's
@@ -73,7 +77,7 @@ from operator import mul
 from typing import Union
 
 from .errors import CapacityError, InputError, InternalError, PreconditionError
-from .linalg import Vec, frac, lcm_all, vec
+from .linalg import ZERO, Vec, frac, lcm_all, vec
 
 FREE = 0
 NONNEG = 1
@@ -127,9 +131,7 @@ def make_program(objective, ineqs=(), eqs=(), signs=None) -> LinearProgram:
             raise InputError(f"equality row has {len(a)} coefficients, expected {n}")
         ea.append(a)
         eb.append(frac(b))
-    for x in chain(obj, ib, eb, *ia, *ea):
-        if abs(x.numerator) >= _LITERAL_BOUND or x.denominator >= _LITERAL_BOUND:
-            raise CapacityError(f"a literal has more than {MAX_LITERAL_DIGITS} digits")
+    _check_literals(chain(obj, ib, eb, *ia, *ea))
     if signs is None:
         sg = (FREE,) * n
     else:
@@ -137,6 +139,14 @@ def make_program(objective, ineqs=(), eqs=(), signs=None) -> LinearProgram:
         if len(sg) != n or any(s not in (FREE, NONNEG, NONPOS) for s in sg):
             raise InputError("bad variable sign vector")
     return LinearProgram(obj, tuple(ia), tuple(ib), tuple(ea), tuple(eb), sg)
+
+
+def _check_literals(xs) -> None:
+    """CapacityError when a Fraction in xs has more than
+    MAX_LITERAL_DIGITS digits in its numerator or denominator."""
+    for x in xs:
+        if abs(x.numerator) >= _LITERAL_BOUND or x.denominator >= _LITERAL_BOUND:
+            raise CapacityError(f"a literal has more than {MAX_LITERAL_DIGITS} digits")
 
 
 @dataclass(frozen=True)
@@ -201,7 +211,12 @@ class _Tableau:
     Artificials never enter, so every pivot column is stored up to sign.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, rows: IntegerRows | None = None):
+        """The starting tableau of lp, read off rows, the integer form of
+        lp's rows (built here if None): each row is s*a, s*b, negated
+        where b < 0 so the rhs is nonnegative."""
+        if rows is None:
+            rows = integer_rows(lp)
         self.lp = lp
         n = lp.dim
         self.m1 = len(lp.ineq_lhs)
@@ -218,23 +233,19 @@ class _Tableau:
                 self.cols.append((j, -1 if s == FREE else 1))
         self.nt = len(self.tcols)
         self.ns = self.m1
-        self.rowscale: list[Fraction] = []  # std row = rowscale * original row
+        nonpos = [j for j, s in enumerate(lp.var_signs) if s == NONPOS]
+        self.rowscale: list[int] = []  # std row = rowscale * original row
         self.slack_sign: list[int] = []
         self.rows: list[list[int]] = []
-        for r in range(self.m):
-            if r < self.m1:
-                a, b = lp.ineq_lhs[r], lp.ineq_rhs[r]
-            else:
-                a, b = lp.eq_lhs[r - self.m1], lp.eq_rhs[r - self.m1]
-            scale = lcm_all([x.denominator for x in a] + [b.denominator])
+        for r, (a, b, k) in enumerate(chain(rows.ineq, rows.eq)):
             sign = -1 if b < 0 else 1
-            row = [0] * (n + self.m + 1)
-            for j, (x, s) in enumerate(zip(a, lp.var_signs)):
-                row[j] = (-sign if s == NONPOS else sign) * x.numerator * (scale // x.denominator)
+            row = ([-x for x in a] if sign < 0 else list(a)) + [0] * (self.m + 1)
+            for j in nonpos:
+                row[j] = -row[j]
             row[n + r] = sign if r < self.m1 else 1
-            row[-1] = sign * b.numerator * (scale // b.denominator)
+            row[-1] = sign * b
             self.rows.append(row)
-            self.rowscale.append(Fraction(sign * scale))
+            self.rowscale.append(sign * (rows.scale // k))
             if r < self.m1:
                 self.slack_sign.append(sign)
         self.cols += [(n + r, 1) for r in range(self.m1)]  # slacks
@@ -385,52 +396,55 @@ class _Tableau:
                 self._pivot(i, pc, None)
 
     def point(self) -> Vec:
-        vals = {}
+        den = self.den
+        x = [0] * self.lp.dim
         for i in range(self.m):
-            if self.active[i]:
-                vals[self.basis[i]] = Fraction(self.rows[i][-1], self.den)
-        x = [Fraction(0)] * self.lp.dim
-        for k, (j, sg) in enumerate(self.tcols):
-            v = vals.get(k)
-            if v:
-                x[j] += sg * v
-        return tuple(x)
+            b = self.basis[i]
+            if self.active[i] and b < self.nt:
+                j, sg = self.tcols[b]
+                x[j] += sg * self.rows[i][-1]
+        return tuple(Fraction(v, den) if v else ZERO for v in x)
 
-    def row_multipliers(self, obj: list[int], art_cost: int, unscale: Fraction) -> list[Fraction]:
+    def row_multipliers(self, obj: list[int], art_cost: int, unscale: int) -> list[Fraction]:
         """Multipliers on the original rows proving the current reduced
         costs, art_cost - obj[art r]/den, read off the artificial columns
-        of an objective row whose artificials all cost art_cost.
+        of an objective row whose artificials all cost art_cost, each
+        divided by unscale.
 
         The artificial block started as the identity, so it records the
         row operations applied so far; rows dropped as redundant still
         participate and their multipliers stay sign-safe because their
         slack columns kept nonnegative reduced costs. For an inequality
         row the identity obj[art r] = den*art_cost + s_r*obj[slack r]
-        turns this into -s_r*obj[slack r]/den in both phases.
+        turns this into -s_r*obj[slack r]/den in both phases. Each
+        multiplier is an int over den*unscale, made a Fraction once.
         """
-        n = self.lp.dim
+        n, den = self.lp.dim, self.den
         out = []
         for r in range(self.m):
             if r < self.m1:
-                y_std = Fraction(-self.slack_sign[r] * obj[n + r], self.den)
+                y = -self.slack_sign[r] * obj[n + r]
             else:
-                y_std = art_cost - Fraction(obj[n + r], self.den)
-            out.append(y_std * self.rowscale[r] / unscale)
+                y = art_cost * den - obj[n + r]
+            out.append(Fraction(y * self.rowscale[r], den * unscale) if y else ZERO)
         return out
 
 
 def _phase_one(lp: LinearProgram, rows: IntegerRows | None = None) -> _Tableau | LpInfeasible:
     """A tableau holding a feasible basis of lp's constraints with the
-    artificials driven out, or the Farkas outcome, verified against
-    rows, the integer form of lp's rows (built at the check if None).
-    Bland's rule here never reads lp.objective."""
-    tab = _Tableau(lp)
+    artificials driven out, or the Farkas outcome, verified. rows is
+    the integer form of lp's rows, which the tableau starts from and the
+    check reads (built here if None). Bland's rule here never reads
+    lp.objective."""
+    if rows is None:
+        rows = integer_rows(lp)
+    tab = _Tableau(lp, rows)
     obj = tab.phase_one_row()
     if tab._run(obj) is not None:
         raise InternalError("phase one cannot be unbounded")
     if obj[-1] != 0:
         # positive infeasibility gap; multipliers give a Farkas witness
-        w = tab.row_multipliers(obj, 1, Fraction(1))
+        w = tab.row_multipliers(obj, 1, 1)
         outcome = LpInfeasible(
             farkas_ineq=tuple(-w[r] for r in range(tab.m1)),
             farkas_eq=tuple(-w[tab.m1 + k] for k in range(tab.m2)),
@@ -441,31 +455,33 @@ def _phase_one(lp: LinearProgram, rows: IntegerRows | None = None) -> _Tableau |
     return tab
 
 
-def _phase_two(tab: _Tableau, lp: LinearProgram, rows: IntegerRows | None = None) -> LpOutcome:
+def _phase_two(tab: _Tableau, lp: LinearProgram, rows: IntegerRows) -> LpOutcome:
     """Optimize lp.objective from the phase-one basis in tab, which this
     pivots; the certificate is verified against lp, with rows the
-    integer form of its rows (built at the check if None), before
-    return."""
+    integer form of its rows, before return."""
     scale, obj = tab.objective_row(lp.objective)
     unbounded_col = tab._run(obj)
+    den = tab.den
     if unbounded_col is not None:
-        ray_t = {unbounded_col: Fraction(1)}
+        # the ray over den: the entering column at den, the basic ones
+        # moving against their entries in its column
+        ray_t = {unbounded_col: den}
         for i in range(tab.m):
             if tab.active[i]:
-                ray_t[tab.basis[i]] = Fraction(-tab.entry(i, unbounded_col), tab.den)
-        ray = [Fraction(0)] * lp.dim
+                ray_t[tab.basis[i]] = -tab.entry(i, unbounded_col)
+        ray = [0] * lp.dim
         for k, (j, sg) in enumerate(tab.tcols):
             v = ray_t.get(k)
             if v:
                 ray[j] += sg * v
-        outcome = LpUnbounded(ray=tuple(ray), point=tab.point())
+        outcome = LpUnbounded(ray=tuple(Fraction(v, den) if v else ZERO for v in ray),
+                              point=tab.point())
         _check(lp, outcome, rows)
         return outcome
-    value = Fraction(-obj[-1], tab.den) / scale
-    w = tab.row_multipliers(obj, 0, Fraction(scale))
+    w = tab.row_multipliers(obj, 0, scale)
     outcome = LpOptimal(
         point=tab.point(),
-        value=value,
+        value=Fraction(-obj[-1], den * scale),
         dual_ineq=tuple(-w[r] for r in range(tab.m1)),
         dual_eq=tuple(w[tab.m1 + k] for k in range(tab.m2)),
     )
@@ -478,10 +494,11 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
     Deterministic: the same program yields the identical outcome object.
     """
-    tab = _phase_one(lp)
+    rows = integer_rows(lp)
+    tab = _phase_one(lp, rows)
     if isinstance(tab, LpInfeasible):
         return tab
-    return _phase_two(tab, lp)
+    return _phase_two(tab, lp, rows)
 
 
 class PreparedSystem:
@@ -495,8 +512,9 @@ class PreparedSystem:
     verified once, for every objective; that certificate does not
     involve the objective either. A feasible system checks its
     phase-one point against the rows once, so infeasible is None only
-    with a verified witness. The integer form of the rows that every
-    check reads (integer_rows) is built once, here.
+    with a verified witness. The integer form of the rows (integer_rows),
+    which the tableau starts from and every check reads, is built once,
+    here.
 
     solve_with_column(c, j, column) also fills in a column the prepared
     program leaves zero, so a family of programs that differ in one
@@ -523,6 +541,7 @@ class PreparedSystem:
         c = vec(objective)
         if len(c) != self.lp.dim:
             raise InputError(f"objective has {len(c)} coefficients, expected {self.lp.dim}")
+        _check_literals(c)
         return c
 
     def solve(self, objective) -> LpOutcome:
@@ -544,6 +563,7 @@ class PreparedSystem:
         rows = lp.ineq_lhs + lp.eq_lhs
         if not 0 <= j < lp.dim or len(col) != len(rows):
             raise InputError("column does not fit the program")
+        _check_literals(col)
         if any(a[j] for a in rows):
             raise InputError(f"column {j} of the prepared program is not zero")
         if isinstance(self._start, LpInfeasible):
@@ -560,7 +580,7 @@ class PreparedSystem:
         return _phase_two(tab, full, self.rows.with_column(j, col))
 
 
-def _check(lp: LinearProgram, outcome: LpOutcome, rows: IntegerRows | None = None) -> None:
+def _check(lp: LinearProgram, outcome: LpOutcome, rows: IntegerRows) -> None:
     if not verify_certificate(lp, outcome, rows):
         raise InternalError(f"certificate failed self-check: {outcome!r}")
 

@@ -1,10 +1,9 @@
 """Independent cross-checks used by the test-suite and the CLI suite runner.
 
-Nothing here reuses solver internals: membership oracles evaluate
-constraint rows directly, support values come from vertex enumeration,
-and the random generators are built on a hand-rolled linear congruential
-generator so that streams are reproducible across platforms and Python
-versions.
+Nothing here reuses solver internals: the grid oracle evaluates
+constraint rows directly, and the random generators are built on a
+hand-rolled linear congruential generator so that streams are
+reproducible across platforms and Python versions.
 """
 from __future__ import annotations
 
@@ -13,9 +12,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import dot, l1_norm, unit_vec, vec, vneg, vsub, zero_vec
+from .linalg import dot, l1_norm, unit_vec, vec, vneg
 from .lp import LinearProgram, LpInfeasible, LpOptimal, LpUnbounded, make_program
-from .sets import ConvexSet, HRep, check_same_dim
+from .sets import ConvexSet, HRep
 
 
 class Lcg:
@@ -196,40 +195,3 @@ def grid_interior_verdict(h: HRep, x, cell: Fraction):
     if all(member(tuple(xi + di for xi, di in zip(x, d))) for d in block):
         return True
     return None
-
-
-# -- support and normal cone oracles ------------------------------------------
-
-def vertex_support_oracle(s: ConvexSet, direction):
-    """Support value by brute force over canonical generators: None
-    stands for an empty set, +infinity is signalled by a ray with
-    positive product."""
-    d = vec(direction)
-    v = s.canonical_vrep()
-    if not v.vertices:
-        return None
-    if any(dot(d, r) > 0 for r in v.rays):
-        return "unbounded"
-    return max(dot(d, p) for p in v.vertices)
-
-
-def definition_normal_cone_oracle(s: ConvexSet, x, g) -> bool:
-    """Is g a normal direction at x per the definition: no point of the
-    set sees a positive product with g relative to x."""
-    x, g = vec(x), vec(g)
-    v = s.canonical_vrep()
-    return all(dot(g, vsub(p, x)) <= 0 for p in v.vertices) and all(
-        dot(g, r) <= 0 for r in v.rays)
-
-
-def prop33_hypotheses(s1: ConvexSet, s2: ConvexSet) -> bool:
-    """Whether the difference set has interior points and contains the
-    origin in its core. Checked on the materialized difference, which
-    makes this an independent cross-check of the reach-based tests."""
-    check_same_dim(s1, s2)
-    if s1.is_empty() or s2.is_empty():
-        return False
-    d = s1.difference(s2)
-    if not d.core_contains(zero_vec(s1.dim)):
-        return False
-    return d.interior_point() is not None

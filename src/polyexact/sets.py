@@ -3,17 +3,22 @@
 A ConvexSet wraps one or both descriptions of the same polyhedron: rows
 (HRep) and generators (VRep). Predicates prefer whichever raw form
 answers directly; the missing form is derived on first use and cached
-behind a lock. Canonicalization promotes implicit equalities, reduces
-inequality rows modulo the equality space, rescales, deduplicates,
-prunes rows that other rows imply, and sorts, so equal sets have equal
-canonical forms and reports stay byte-stable.
+behind a lock. The canonical rows are read off one double description
+of the generators, whose rows are exactly the facets and the equations
+of the affine hull (Fukuda & Prodon 1996). Canonicalization puts the
+equalities in reduced echelon form, reduces the facet rows modulo them,
+rescales, deduplicates and sorts, so equal sets have equal canonical
+forms and reports stay byte-stable. The result is checked in integers
+against the generators before use (check_facets). A set described by
+generators runs that double description once, for hrep() and the
+canonical rows alike.
 
 Sets are immutable, so what is derived from them is kept on them.
 cached() holds results of one set by key: the prepared LP system of the
-rows (simplex phase one, run once; see lp.PreparedSystem), the
-canonical forms and the normal cone at each point asked. Emptiness is
-read off that phase one, and support values and the row-promotion LPs
-of canonicalization share it. cached_with() holds results of
+rows (simplex phase one, run once; see lp.PreparedSystem), the rows of
+the double description, the canonical forms and the normal cone at
+each point asked. Emptiness is read off that phase one, and support
+values share it. cached_with() holds results of
 a pair for the set's last partner, compared by identity: the difference
 set, the pair's prepared reach system and its reaches along the cube's
 corners and axes. Every question asked of one pair then shares one
@@ -26,13 +31,19 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
+from operator import mul
+
 from . import dd
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .lp import NONNEG, LpOptimal, LpUnbounded, PreparedSystem, make_program, solve_lp
 from .linalg import (
+    ONE,
+    ZERO,
     Vec,
     dot,
     frac,
+    integer_rank,
+    integerize,
     is_zero_vec,
     l1_norm,
     lead_normalized,
@@ -149,9 +160,8 @@ class ConvexSet:
         if self._hrep is None:
             with self._lock:
                 if self._hrep is None:
-                    v = self._vrep
-                    ineqs, eqs = dd.generators_to_hrep(v.vertices, v.rays, (), v.dim)
-                    self._hrep = make_hrep(v.dim, ineqs, eqs)
+                    ineqs, eqs = self._facet_rows()
+                    self._hrep = make_hrep(self.dim, ineqs, eqs)
         return self._hrep
 
     def vrep(self) -> VRep:
@@ -163,6 +173,17 @@ class ConvexSet:
                     expanded = tuple(rays) + tuple(lin) + tuple(vneg(l) for l in lin)
                     self._vrep = make_vrep(h.dim, pts, expanded)
         return self._vrep
+
+    def _facet_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+        """(ineqs, eqs): the rows of one double description of vrep(),
+        run once per set. They are the extreme rays of the polar cone of
+        the homogenized set and its lineality (Fukuda & Prodon 1996):
+        one inequality per facet, and equalities spanning the equations
+        of the affine hull."""
+        def build():
+            v = self.vrep()
+            return dd.generators_to_hrep(v.vertices, v.rays, (), v.dim)
+        return self.cached("facet_rows", build)
 
     def lp_system(self) -> PreparedSystem:
         """The rows of hrep() after simplex phase one; every LP over
@@ -356,51 +377,37 @@ class ConvexSet:
     # -- canonical forms ----------------------------------------------------
 
     def canonical_hrep(self) -> HRep:
+        """The unique row description of the set, built once. It reads
+        a double description, whose caps (dd.MAX_ROWS, dd.MAX_LIVE_RAYS)
+        raise CapacityError."""
         return self.cached("canonical_hrep", self._build_canonical_hrep)
 
     def canonical_vrep(self) -> VRep:
         return self.cached("canonical_vrep", self._build_canonical_vrep)
 
     def _build_canonical_hrep(self) -> HRep:
-        h = self.hrep()
+        """The facet rows of the set, normalized: equalities in reduced
+        echelon form, inequalities reduced modulo them, scaled so the
+        lead entry is 1 or -1, deduplicated and sorted. They are checked
+        against the generators (check_facets) before return."""
         if self.is_empty():
             e = unit_vec(self.dim, 0)
             return HRep(self.dim, ((e, Fraction(-1)), (vneg(e), Fraction(-1))), ())
-        eq_rows = [list(a) + [b] for a, b in h.eqs]
-        ineq_rows = list(h.ineqs)
-        # promote rows that every point meets with equality
-        kept = []
-        for a, b in ineq_rows:
-            out = self.lp_system().solve(a)
-            if isinstance(out, LpOptimal) and out.value == b:
-                eq_rows.append(list(a) + [b])
-            else:
-                kept.append((a, b))
-        reduced_eqs, pivots = rref(eq_rows)
-        eqs = []
-        for row in reduced_eqs:
-            a, b = tuple(row[:-1]), row[-1]
-            if is_zero_vec(a):
-                raise PreconditionError("inconsistent equality system on a nonempty set")
-            eqs.append((a, b))
-        seen = []
-        for a, b in kept:
+        v = self.vrep()
+        ineqs, eqs = self._facet_rows()
+        reduced_eqs, pivots = rref([list(a) + [b] for a, b in eqs])
+        rows = set()
+        for a, b in ineqs:
             r = reduce_mod_subspace(tuple(a) + (b,), reduced_eqs, pivots)
-            if is_zero_vec(r[:-1]):
-                continue
-            # the lead entry of r lies in its normal part
-            r = lead_normalized(r)
-            row = (r[:-1], r[-1])
-            if row not in seen:
-                seen.append(row)
-        pruned = list(seen)
-        for row in list(pruned):
-            rest = [r for r in pruned if r is not row]
-            a, b = row
-            out = solve_lp(make_program(vneg(a), ineqs=rest, eqs=eqs))
-            if isinstance(out, LpOptimal) and -out.value <= b:
-                pruned.remove(row)
-        return HRep(self.dim, tuple(sorted(pruned)), tuple(sorted(eqs)))
+            # a row that is constant on the affine hull says nothing
+            if not is_zero_vec(r[:-1]):
+                # the lead entry of r lies in its normal part
+                r = lead_normalized(r)
+                rows.add((r[:-1], r[-1]))
+        h = HRep(self.dim, tuple(sorted(rows)),
+                 tuple(sorted((tuple(row[:-1]), row[-1]) for row in reduced_eqs)))
+        check_facets(v, h)
+        return h
 
     def _build_canonical_vrep(self) -> VRep:
         h = self.hrep()
@@ -424,6 +431,32 @@ class ConvexSet:
 def check_same_dim(s1: ConvexSet, s2: ConvexSet) -> None:
     if s1.dim != s2.dim:
         raise InputError("sets live in different dimensions")
+
+
+def check_facets(v: VRep, h: HRep) -> None:
+    """InternalError unless h is a facet description of the nonempty set
+    that v generates: every row holds on every vertex and ray, every
+    equality row is tight on all of them, the generators span an affine
+    hull of dimension dim - len(h.eqs), and each inequality row is tight
+    on generators that span a face one dimension lower, a facet. Decided
+    in integers on the homogenized generators (p, 1) and (r, 0)."""
+    gens = ([integerize(p + (ONE,)) for p in v.vertices]
+            + [integerize(r + (ZERO,)) for r in v.rays])
+    flat = h.dim - len(h.eqs)
+    if integer_rank(gens) != flat + 1:
+        raise InternalError("the equality rows do not span the affine hull")
+    for a, b in h.eqs:
+        e = integerize(a + (-b,))
+        if any(sum(map(mul, e, g)) for g in gens):
+            raise InternalError("an equality row fails a generator")
+    for a, b in h.ineqs:
+        f = integerize(a + (-b,))
+        dots = [sum(map(mul, f, g)) for g in gens]
+        if any(d > 0 for d in dots):
+            raise InternalError("a row cuts off a generator")
+        tight = [g for g, d in zip(gens, dots) if not d]
+        if len(tight) < flat or integer_rank(tight) != flat:
+            raise InternalError("a row is not tight on a facet")
 
 
 def _generator_membership(vertices, rays, x: Vec) -> bool:

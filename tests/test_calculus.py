@@ -23,15 +23,10 @@ from polyexact.errors import InputError, InternalError, PreconditionError
 from polyexact.extremality import is_extremal_system
 from polyexact.instances import load_instance
 from polyexact.linalg import dot, unit_vec, vadd, vec, vscale, vsub, zero_vec
-from polyexact.oracle import (
-    Lcg,
-    prop33_hypotheses,
-    random_pair_with_common_point,
-    random_polytope,
-    vertex_support_oracle,
-)
+from polyexact.oracle import Lcg, random_pair_with_common_point, random_polytope
 from polyexact.sets import ConvexSet, ball_inf
 from polyexact.suite import FIXTURE_PAIRS
+from definition_oracles import prop33_hypotheses, vertex_support_oracle
 from reach_reference import reference_reach
 
 

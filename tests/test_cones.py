@@ -27,9 +27,10 @@ from polyexact.cones import (
 )
 from polyexact.errors import CapacityError, InputError, PreconditionError
 from polyexact.linalg import dot, rank, vec, vneg
-from polyexact.oracle import definition_normal_cone_oracle, random_polytope
+from polyexact.oracle import random_polytope
 from polyexact.sets import ConvexSet
 from cone_reference import reference_cones_equal, reference_make_cone
+from definition_oracles import definition_normal_cone_oracle, is_trivial
 
 
 def unit_square(kind="h"):
@@ -45,7 +46,7 @@ def test_square_normal_cones():
     edge = normal_cone(s, (F(1, 2), 0))
     assert edge.generators == ((0, -1),)
     inner = normal_cone(s, (F(1, 2), F(1, 2)))
-    assert inner.is_trivial()
+    assert is_trivial(inner)
     with pytest.raises(PreconditionError):
         normal_cone(s, (2, 2))
 
@@ -109,7 +110,7 @@ def test_cone_algebra():
     trivial = make_cone(2)
     assert cone_sum(xray, trivial) == xray
     assert cone_sum(xray, yray).generators == ((0, 1), (1, 0))
-    assert cone_intersect(xray, yray).is_trivial()
+    assert is_trivial(cone_intersect(xray, yray))
     assert cone_negate(cone_negate(xray)) == xray
     quad = cone_intersect(
         make_cone(2, generators=[(1, 0), (1, 1)]),

@@ -171,6 +171,21 @@ def test_literal_cap():
                 make_program(objective, ineqs=ineqs, eqs=eqs)
 
 
+def test_literal_cap_on_prepared_objectives_and_columns():
+    # the objectives and columns a prepared system takes meet the same cap
+    widest = 10 ** lp_module.MAX_LITERAL_DIGITS - 1
+    system = PreparedSystem(make_program([0, 0], ineqs=[((1, 0), 1)], signs=[FREE, NONNEG]))
+    assert isinstance(system.solve([-widest, 0]), LpOptimal)
+    assert isinstance(system.solve_with_column([F(-1, widest), -1], 1, (widest,)), LpOptimal)
+    for wide in (widest + 1, -widest - 1, F(1, widest + 1)):
+        with pytest.raises(CapacityError):
+            system.solve([wide, 0])
+        with pytest.raises(CapacityError):
+            system.solve_with_column([wide, -1], 1, (1,))
+        with pytest.raises(CapacityError):
+            system.solve_with_column([0, -1], 1, (wide,))
+
+
 def test_solver_is_deterministic():
     for seed in range(40):
         lp = random_lp(seed)
@@ -587,6 +602,40 @@ def test_prepared_and_one_shot_match_reference_on_more_programs(corpus, monkeypa
     assert {_matches_reference(lp).status for lp in programs} == statuses
 
 
+def _per_row_start(lp):
+    """(rows, rowscale, slack_sign) of the starting tableau, built row by
+    row from the program's Fractions: each row cleared of its own
+    denominators and negated where its rhs is negative."""
+    n, m1 = lp.dim, len(lp.ineq_lhs)
+    m = m1 + len(lp.eq_lhs)
+    rows, rowscale, slack_sign = [], [], []
+    for r, (a, b) in enumerate(zip(lp.ineq_lhs + lp.eq_lhs, lp.ineq_rhs + lp.eq_rhs)):
+        scale = lcm_all([x.denominator for x in a] + [b.denominator])
+        sign = -1 if b < 0 else 1
+        row = [0] * (n + m + 1)
+        for j, (x, s) in enumerate(zip(a, lp.var_signs)):
+            row[j] = (-sign if s == NONPOS else sign) * x.numerator * (scale // x.denominator)
+        row[n + r] = sign if r < m1 else 1
+        row[-1] = sign * b.numerator * (scale // b.denominator)
+        rows.append(row)
+        rowscale.append(F(sign * scale))
+        if r < m1:
+            slack_sign.append(sign)
+    return rows, rowscale, slack_sign
+
+
+@pytest.mark.parametrize("corpus", ["random", "signed", "dependent", "library"])
+def test_tableau_from_integer_rows_matches_per_row_start(corpus, monkeypatch):
+    if corpus == "random":
+        programs = [random_lp(seed) for seed in range(1500)]
+    else:
+        build, _ = MORE_PROGRAMS[corpus]
+        programs = build(monkeypatch)
+    for lp in programs:
+        tab = lp_module._Tableau(lp, lp_module.integer_rows(lp))
+        assert (tab.rows, tab.rowscale, tab.slack_sign) == _per_row_start(lp), lp
+
+
 def test_dependent_equalities_leave_inactive_rows():
     # so the dependent corpus above reaches rows dropped by the drive-out
     feasible = []
@@ -670,9 +719,9 @@ def test_prepared_reach_pivots_are_pinned(monkeypatch):
     tableaux, pivots = [], []
     init, pivot = lp_module._Tableau.__init__, lp_module._Tableau._pivot
 
-    def counting_init(self, lp):
+    def counting_init(self, lp, *rows):
         tableaux.append(lp)
-        init(self, lp)
+        init(self, lp, *rows)
 
     def counting_pivot(self, pr, pc, obj):
         pivots.append((pr, pc))
@@ -730,9 +779,9 @@ def test_is_empty_builds_one_tableau(monkeypatch):
     built = []
     original = lp_module._Tableau.__init__
 
-    def counting(self, lp):
+    def counting(self, lp, *rows):
         built.append(lp)
-        original(self, lp)
+        original(self, lp, *rows)
 
     monkeypatch.setattr(lp_module._Tableau, "__init__", counting)
     s = ConvexSet.from_hrep(2, ineqs=[((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((1, 1), 5)])
@@ -763,9 +812,32 @@ def test_prepared_system_integerizes_its_rows_once(monkeypatch):
     out = system.solve_with_column((0, 0, -1), 2, (1, 0, 0))
     assert isinstance(out, LpOptimal) and out.value == -1
     assert len(built) == 1
-    # a one-shot solve and a direct check build it per call
+    # a one-shot solve builds it once, and a direct check builds it per call
     assert verify_certificate(lp, solve_lp(lp))
     assert len(built) == 3
+
+
+def test_one_shot_tableau_and_check_read_one_integer_form(monkeypatch):
+    """solve_lp clears each row's denominators once: the tableau starts
+    from the very IntegerRows its certificate check reads."""
+    read = []
+    init, check = lp_module._Tableau.__init__, lp_module._check
+
+    def recording_init(self, lp, *rows):
+        read.append(("tableau", *rows))
+        init(self, lp, *rows)
+
+    def recording_check(lp, outcome, rows):
+        read.append(("check", rows))
+        check(lp, outcome, rows)
+
+    monkeypatch.setattr(lp_module._Tableau, "__init__", recording_init)
+    monkeypatch.setattr(lp_module, "_check", recording_check)
+    for seed in range(40):
+        read.clear()
+        solve_lp(random_lp(seed))
+        (_, rows), (_, checked) = read
+        assert isinstance(rows, lp_module.IntegerRows) and checked is rows
 
 
 def test_is_empty_reads_phase_one(monkeypatch):

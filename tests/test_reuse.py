@@ -144,24 +144,27 @@ def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
 def test_slice_counts_are_pinned(monkeypatch):
     """Counts on the 12-seed planar slice: 18 Minkowski sums (one per
     pair task), 145 reaches along a direction, 91 canonicalized cones
-    and 572 conic membership LPs, all of them asked by contains. Before
+    and 515 conic membership LPs, all of them asked by contains. Before
     the sharing they were 64, 302, 327 and 2,078; before contains kept
-    its answers there were 1,242 membership LPs, and 874 while
-    make_cone still canonicalized by membership LPs. The reaches run on
-    28 reach systems, one per ordered pair of sets: the 18 tasks' own
-    pairs and 10 windows.
+    its answers there were 1,242 membership LPs, 874 while make_cone
+    still canonicalized by membership LPs, and 572 while
+    intersection_rule held a left cone equal to a summand as a distinct
+    object. The reaches run on 28 reach systems, one per ordered pair of
+    sets: the 18 tasks' own pairs and 10 windows.
 
-    Every certificate is checked: 2,765 checks, 2,530 of them in the
+    Every certificate is checked: 2,313 checks, 2,078 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
-    them. There are 162 double descriptions; they were 189 while
-    cone_rows ran again the polar DD that make_cone had run."""
+    them. There are 214 double descriptions. They were 189 while
+    cone_rows ran again the polar DD that make_cone had run, and 162
+    while canonical_hrep solved LPs instead (2,530 checks in the
+    solver)."""
     counts = Counts(monkeypatch)
     assert suite.run_suite(**SLICE).ok
     assert counts.minkowski == 18
     assert len(counts.reaches) == 145
     assert counts.make_cone == 91
-    assert counts.memberships == 572
-    assert (counts.checks, counts.solver_checks) == (2765, 2530)
-    assert counts.dd == 162
+    assert counts.memberships == 515
+    assert (counts.checks, counts.solver_checks) == (2313, 2078)
+    assert counts.dd == 214
     pairs = [(id(a), id(b)) for a, b, _ in counts.systems]
     assert len(pairs) == len(set(pairs)) == 28

@@ -3,16 +3,23 @@ import random
 import sys
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyexact import calculus
+from polyexact import calculus, dd, suite
 from polyexact import sets as sets_module
 from polyexact.calculus import core_at_zero, difference_interiority, support_value
-from polyexact.errors import InputError, PreconditionError
+from polyexact.errors import InputError, InternalError, PreconditionError
 from polyexact.extremality import is_extremal_system
+from polyexact.instances import fixture_names, load_instance
+from polyexact.linalg import integer_rank, rank, vec
+from polyexact.oracle import random_pair_with_common_point
 from polyexact.sets import ConvexSet, ball_inf, make_hrep, make_vrep, sets_equal
+from canonical_reference import reference_canonical_hrep
 
 
 def unit_square():
@@ -337,3 +344,173 @@ def test_pair_caches_are_built_once_under_threads(monkeypatch):
     assert sorted(map(id, built)) == sorted([id(s1), id(s2)])
     assert sorted(systems) == sorted([(id(s1), id(s2)), (id(s2), id(s1))])
     assert reaches and len(reaches) == len(set(reaches))
+
+
+# -- canonical rows from the double description ----------------------------------
+
+def _suite_sets(monkeypatch):
+    """The sets run_suite canonicalizes on dims 2-4 and seeds 1-8, then
+    both sides, the intersection and the difference of every pair."""
+    canonicalized, pairs = [], []
+    canonical = ConvexSet.canonical_hrep
+    task_instance = suite._task_instance
+
+    def recorded(s):
+        canonicalized.append(s)
+        return canonical(s)
+
+    def recorded_instance(task):
+        out = task_instance(task)
+        pairs.append(out[1:3])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ConvexSet, "canonical_hrep", recorded)
+        patch.setattr(suite, "_task_instance", recorded_instance)
+        assert suite.run_suite(dims=(2, 3, 4), seed_range=(1, 8),
+                               lp_count=10, boundary_count=20).ok
+    assert len(canonicalized) > 50
+    out = dict.fromkeys(canonicalized)
+    for a, b in pairs:
+        out.update(dict.fromkeys((a, b, a.intersect(b), a.difference(b))))
+    return list(out)
+
+
+def _fixture_sets():
+    return [s for name in fixture_names() for s in load_instance(name).sets.values()]
+
+
+@pytest.mark.parametrize("corpus", ["suite", "fixtures"])
+def test_canonical_hrep_matches_reference(monkeypatch, corpus):
+    sets = _suite_sets(monkeypatch) if corpus == "suite" else _fixture_sets()
+    flat = 0
+    for s in sets:
+        h = s.canonical_hrep()
+        assert h == reference_canonical_hrep(s), s
+        flat += bool(h.eqs)
+    assert len(sets) > (100 if corpus == "suite" else 10)
+    assert 0 < flat < len(sets)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9).filter(bool)
+
+
+@st.composite
+def row_sets(draw):
+    """(dim, ineqs, eqs): one side of a random pair in dim 2 or 3, cut
+    by an equality through the pair's common point half the time."""
+    dim = draw(st.integers(2, 3))
+    s1, s2, anchor = random_pair_with_common_point(draw(st.integers(1, 60)), dim)
+    ineqs = list(draw(st.sampled_from((s1, s2))).hrep().ineqs)
+    eqs = []
+    if draw(st.booleans()):
+        c = draw(st.tuples(*[st.integers(-2, 2)] * dim).filter(any))
+        eqs.append((c, sum(x * y for x, y in zip(c, anchor))))
+    return dim, ineqs, eqs
+
+
+@PROPERTY
+@given(row_sets(), st.data())
+def test_canonical_hrep_ignores_order_scale_and_implied_rows(inputs, data):
+    dim, ineqs, eqs = inputs
+    s = ConvexSet.from_hrep(dim, ineqs, eqs)
+    canon = s.canonical_hrep()
+    assert canon == reference_canonical_hrep(s)
+    rows = data.draw(st.permutations(ineqs))
+    scales = data.draw(st.lists(POSITIVE, min_size=len(rows), max_size=len(rows)))
+    rows = [(tuple(k * x for x in a), k * b) for k, (a, b) in zip(scales, rows)]
+    # the sum of two rows, loosened, is implied by them
+    (a1, b1), (a2, b2) = data.draw(st.lists(st.sampled_from(ineqs), min_size=2, max_size=2))
+    rows.append((tuple(x + y for x, y in zip(a1, a2)), b1 + b2 + data.draw(st.integers(0, 2))))
+    # both halves of the equality, rescaled, are implied by it
+    for c, f in eqs:
+        k, l = data.draw(st.lists(POSITIVE, min_size=2, max_size=2))
+        rows += [(tuple(k * x for x in c), k * f), (tuple(-l * x for x in c), -l * f)]
+    t = ConvexSet.from_hrep(dim, rows, eqs)
+    assert t.canonical_hrep() == canon == reference_canonical_hrep(t)
+    v = s.vrep()
+    assert ConvexSet.from_vrep(dim, v.vertices, v.rays).canonical_hrep() == canon
+
+
+def _flat_square():
+    """The unit square in the plane z = 1 of R^3, with its canonical rows
+    and generators."""
+    s = ConvexSet.from_hrep(3, ineqs=[((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 0, 0), 1),
+                                      ((0, 1, 0), 1)], eqs=[((0, 0, 2), 2)])
+    return s.vrep(), s.canonical_hrep()
+
+
+def test_facet_check_accepts_the_canonical_rows():
+    v, h = _flat_square()
+    assert len(h.ineqs) == 4 and h.eqs == (((0, 0, 1), 1),)
+    sets_module.check_facets(v, h)
+
+
+@pytest.mark.parametrize("tamper", ["shifted", "shifted-in", "non-facet", "implicit-equality",
+                                    "dropped-equality"])
+def test_facet_check_rejects_tampered_rows(tamper):
+    v, h = _flat_square()
+    (a, b), rest = h.ineqs[0], h.ineqs[1:]
+    bad = {
+        "shifted": replace(h, ineqs=((a, b + 1),) + rest),
+        "shifted-in": replace(h, ineqs=((a, b - 1),) + rest),
+        # valid, but tight at the corner (1, 1, 1) alone
+        "non-facet": replace(h, ineqs=h.ineqs + (((1, 1, 0), 2),)),
+        # valid and tight everywhere: an equality held as a row
+        "implicit-equality": replace(h, ineqs=h.ineqs + (((0, 0, 1), 1),)),
+        "dropped-equality": replace(h, eqs=()),
+    }[tamper]
+    with pytest.raises(InternalError):
+        sets_module.check_facets(v, bad)
+
+
+def test_facet_check_rejects_a_row_tight_on_three_points_of_an_edge():
+    # as many tight generators as a facet needs, but of rank 2: only the
+    # rank test tells the edge y + z <= 2 from a facet of the cube
+    corners = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    cube = ConvexSet.from_vrep(3, vertices=corners + [(F(1, 2), 1, 1)])
+    v, h = cube.vrep(), cube.canonical_hrep()
+    sets_module.check_facets(v, h)
+    with pytest.raises(InternalError, match="not tight on a facet"):
+        sets_module.check_facets(v, replace(h, ineqs=h.ineqs + (((0, 1, 1), 2),)))
+
+
+def test_dropped_equality_of_a_point_is_caught():
+    point = ConvexSet.from_vrep(2, vertices=[(1, 2)])
+    h = point.canonical_hrep()
+    assert h.ineqs == () and len(h.eqs) == 2
+    with pytest.raises(InternalError):
+        sets_module.check_facets(point.vrep(), replace(h, eqs=h.eqs[:1]))
+
+
+def test_canonical_hrep_checks_the_double_description(monkeypatch):
+    rows = dd.generators_to_hrep
+
+    def tampered(*args):
+        ineqs, eqs = rows(*args)
+        (a, b), rest = ineqs[0], ineqs[1:]
+        return ((a, b + 1),) + rest, eqs
+
+    monkeypatch.setattr(dd, "generators_to_hrep", tampered)
+    with pytest.raises(InternalError):
+        ConvexSet.from_vrep(2, vertices=[(0, 0), (1, 0), (0, 1)]).canonical_hrep()
+    with pytest.raises(InternalError):
+        unit_square().canonical_hrep()
+
+
+def test_integer_rank_matches_fraction_rank():
+    rng = random.Random(7)
+    ranks = set()
+    for _ in range(400):
+        ncols = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(ncols)) for _ in range(rng.randint(0, 6))]
+        if rows and rng.random() < 0.5:
+            # a combination of two rows, so the rank falls short
+            u, w = rng.choice(rows), rng.choice(rows)
+            rows.append(tuple(rng.randint(-3, 3) * x + rng.randint(-3, 3) * y
+                              for x, y in zip(u, w)))
+        want = rank([vec(r) for r in rows])
+        assert integer_rank(rows) == want, rows
+        ranks.add((want, min(len(rows), ncols)))
+    assert any(r < full for r, full in ranks) and any(r == full > 0 for r, full in ranks)
