@@ -11,19 +11,23 @@ supports, with witnesses that attain the convolution exactly.
 
 Every verdict is an exact rational computation: interiority claims are
 certified by corner decompositions of a small cube, and both sides of
-each identity come from independently solved linear programs. The
-reach programs behind those decompositions differ between directions
-only in delta's column, so a pair (or a pair with a window) has one
-reach system that runs phase one once, and each direction is one phase
-two with its certificate checked against the full program. The pair's
-system and its reaches are kept on the first set (see
-ConvexSet.cached_with).
+each identity come from independently solved linear programs. A reach
+program runs over x1 and delta only, with x2 = x1 - delta * direction
+substituted into the rows of the second set, so programs for different
+directions differ only in delta's column. A pair has one reach system
+that runs phase one once, and each direction is one phase two with its
+certificate checked against the full program. The pair's system and its
+reaches are kept on the first set (see ConvexSet.cached_with). The
+windowed condition solves nothing more: each corner decomposition,
+shrunk toward the common point, is its windowed witness, and it is
+checked on the reach system's integer rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 from .cones import (
     PolyhedralCone,
@@ -39,6 +43,8 @@ from .linalg import (
     Vec,
     is_zero_vec,
     l1_norm,
+    linf_norm,
+    over_one_denominator,
     unit_vec,
     vadd,
     vec,
@@ -50,15 +56,17 @@ from .linalg import (
 from .lp import (
     FREE,
     NONNEG,
+    IntegerRows,
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
     PreparedSystem,
+    _satisfies,
     make_program,
     solve_lp,
 )
 from .oracle import Lcg
-from .sets import ConvexSet, ball_inf, check_same_dim
+from .sets import ConvexSet, check_same_dim
 
 PROBE_COUNT = 16
 
@@ -81,75 +89,93 @@ def common_point(s1: ConvexSet, s2: ConvexSet) -> Vec | None:
     return out.point if isinstance(out, LpOptimal) else None
 
 
-def _reach_system(s1: ConvexSet, s2: ConvexSet) -> PreparedSystem:
+class _ReachSystem(PreparedSystem):
+    """A pair's reach program after phase one (see _reach_system), with
+    the counts of its leading rows that belong to s1: first_ineqs of the
+    inequality rows and first_eqs of the equality rows. The rows of s2
+    follow them, and the cap row is the last inequality row."""
+
+    def __init__(self, lp, first_ineqs: int, first_eqs: int):
+        super().__init__(lp)
+        self.first_ineqs = first_ineqs
+        self.first_eqs = first_eqs
+
+
+def _reach_system(s1: ConvexSet, s2: ConvexSet) -> _ReachSystem:
     """The reach program of a pair before its direction is known, after
-    phase one. Its variables are x1, x2 and delta >= 0, its rows say x1
-    in s1, x2 in s2, delta <= 1 and x1 - x2 = delta * direction, and
-    delta's column is left zero, in the cap row too, so phase one never
-    brings delta in. Every direction then takes one phase two (see
-    _reach_along)."""
+    phase one. Its variables are x1 and delta >= 0, with x2 = x1 -
+    delta * direction substituted into the rows of s2, so its rows say
+    x1 in s1, x1 - delta * direction in s2 and delta <= 1. Delta's
+    column is left zero, in the cap row too, so phase one finds a
+    common point of the pair and never brings delta in. Every direction
+    then takes one phase two (see _reach_along)."""
     n = s1.dim
     h1, h2 = s1.hrep(), s2.hrep()
-    zero = zero_vec(n)
-    ineqs = [(a + zero + (ZERO,), b) for a, b in h1.ineqs]
-    ineqs += [(zero + a + (ZERO,), b) for a, b in h2.ineqs]
-    ineqs.append((zero + zero + (ZERO,), ONE))
-    eqs = [(a + zero + (ZERO,), b) for a, b in h1.eqs]
-    eqs += [(zero + a + (ZERO,), b) for a, b in h2.eqs]
-    eqs += [(unit_vec(n, j) + unit_vec(n, j, -1) + (ZERO,), ZERO) for j in range(n)]
-    signs = (FREE,) * (2 * n) + (NONNEG,)
-    return PreparedSystem(make_program(zero_vec(2 * n + 1), ineqs=ineqs, eqs=eqs, signs=signs))
+    ineqs = [(a + (ZERO,), b) for a, b in h1.ineqs + h2.ineqs]
+    ineqs.append((zero_vec(n + 1), ONE))
+    eqs = [(a + (ZERO,), b) for a, b in h1.eqs + h2.eqs]
+    lp = make_program(zero_vec(n + 1), ineqs=ineqs, eqs=eqs, signs=(FREE,) * n + (NONNEG,))
+    return _ReachSystem(lp, len(h1.ineqs), len(h1.eqs))
 
 
-def _reach_along(system: PreparedSystem, direction: Vec):
+def _reach_along(system: _ReachSystem, direction: Vec):
     """How far s1 - s2 reaches from the origin along an integral
     direction: the largest delta in [0, 1] with delta * direction =
     x1 - x2 for some x1 in s1, x2 in s2, together with one maximizing
-    pair, for the pair whose _reach_system this is. When the sets are
-    disjoint the origin is not in the difference, and the reach is zero
-    with no pair, certified by the system's own Farkas outcome."""
+    pair, for the pair whose _reach_system this is. Delta's column is
+    -(a.direction) on each row a of s2 and 1 on the cap row, read off
+    the system's integer rows; x2 = x1 - delta * direction is derived.
+    When the sets are disjoint the origin is not in the difference, and
+    the reach is zero with no pair, certified by the system's own Farkas
+    outcome."""
     if system.infeasible is not None:
         return ZERO, None, None
-    lp = system.lp
-    n = lp.dim // 2
-    column = ((ZERO,) * (len(lp.ineq_lhs) - 1) + (ONE,)
-              + (ZERO,) * (len(lp.eq_lhs) - n) + vneg(direction))
-    out = system.solve_with_column(zero_vec(2 * n) + (-ONE,), 2 * n, column)
+    if any(x.denominator != 1 for x in direction):
+        raise InputError("a reach direction must be integral")
+    d = [x.numerator for x in direction]
+    n = len(d)
+    rows = system.rows
+
+    def entries(part):
+        # a row (A, B, k) is s*(a, 0) with s = scale/k, so a.d = (A.d)*k/scale
+        return tuple(Fraction(-sum(map(mul, a, d)) * k, rows.scale) for a, _, k in part)
+
+    column = ((ZERO,) * system.first_ineqs + entries(rows.ineq[system.first_ineqs:-1]) + (ONE,)
+              + (ZERO,) * system.first_eqs + entries(rows.eq[system.first_eqs:]))
+    out = system.solve_with_column(zero_vec(n) + (-ONE,), n, column)
     if not isinstance(out, LpOptimal):
         raise InternalError("a reach from a common point capped at one must be optimal")
-    return -out.value, out.point[:n], out.point[n:2 * n]
+    delta, x1 = -out.value, out.point[:n]
+    return delta, x1, vsub(x1, vscale(delta, direction))
+
+
+def _pair_system(s1: ConvexSet, s2: ConvexSet) -> _ReachSystem:
+    """The pair's one reach system, kept on s1 for its last partner.
+    Both row descriptions are derived first, so the build, which runs
+    under s1's lock, never waits on the lock of s2."""
+    s1.hrep()
+    s2.hrep()
+    return s1.cached_with(s2, "reach_system", partial(_reach_system, s1, s2))
 
 
 def _pair_reach(s1: ConvexSet, s2: ConvexSet, direction: Vec):
     """_reach_along for the pair itself, solved once per direction on
     the pair's one reach system; both are kept on s1 for its last
-    partner. Both row descriptions are derived first, so the solves,
-    which run under s1's lock, never wait on the lock of s2."""
-    s1.hrep()
-    s2.hrep()
-
-    def build():
-        system = s1.cached_with(s2, "reach_system", partial(_reach_system, s1, s2))
-        return _reach_along(system, direction)
-    return s1.cached_with(s2, ("reach", direction), build)
+    partner."""
+    system = _pair_system(s1, s2)
+    return s1.cached_with(s2, ("reach", direction), partial(_reach_along, system, direction))
 
 
-def _corner_decompositions(s1: ConvexSet, s2: ConvexSet, window: ConvexSet | None = None):
+def _corner_decompositions(s1: ConvexSet, s2: ConvexSet):
     """Reach along every sign corner of the unit cube, with maximizing
-    pairs. The window, when given, restricts the second set; each window
-    is a new set, so its corners share one reach system built here.
-    Returns None as soon as some corner has reach zero; all corners
-    positive certifies the origin interior to the (windowed) difference,
+    pairs. Returns None as soon as some corner has reach zero; all
+    corners positive certifies the origin interior to the difference,
     since the hull of the reached corners contains a cube."""
     dim = s1.dim
-    if window is None:
-        reach = partial(_pair_reach, s1, s2)
-    else:
-        reach = partial(_reach_along, _reach_system(s1, s2.intersect(window)))
     out = []
     for bits in range(1 << dim):
         c = tuple(ONE if bits >> j & 1 else -ONE for j in range(dim))
-        delta, x1, x2 = reach(c)
+        delta, x1, x2 = _pair_reach(s1, s2, c)
         if delta == 0:
             return None
         out.append((c, delta, x1, x2))
@@ -235,17 +261,19 @@ def qualification_report(s1: ConvexSet, s2: ConvexSet, xbar) -> QcReport:
     one around the common point already works, and that radius is
     reported. Shrinking each corner decomposition toward the common
     point, a' = x + t(a - x) and b' = x + t(b - x) with t = min(1,
-    1/|b - x|), keeps a' - b' on its corner's ray and b' in the window.
-    The windowed corners are still solved, and a failure raises
-    InternalError."""
+    1/|b - x|), keeps a' in s1, b' in s2 and in the window, and a' - b'
+    on its corner's ray. Each shrunk pair is built (_window_pair) and
+    checked (_check_window_pair) instead of solved again, and a failed
+    check raises InternalError."""
     x = _common_member(s1, s2, xbar)
     classical = meets_interior(s1, s2)
     corners = _corner_decompositions(s1, s2)
     core = core_at_zero(s1, s2)
     radius = None
     if corners is not None:
-        if _corner_decompositions(s1, s2, window=ball_inf(x, ONE)) is None:
-            raise InternalError("the unit window failed to certify an interior difference")
+        system = _pair_system(s1, s2)
+        for c, delta, a, b in corners:
+            _check_window_pair(system, x, c, delta, *_window_pair(x, a, b))
         radius = ONE
     return QcReport(
         classical_interiority=classical,
@@ -254,6 +282,33 @@ def qualification_report(s1: ConvexSet, s2: ConvexSet, xbar) -> QcReport:
         bounded_extremality_radius=radius,
         core_condition=core,
     )
+
+
+def _window_pair(x: Vec, a: Vec, b: Vec) -> tuple[Fraction, Vec, Vec]:
+    """(t, a', b'): the corner pair (a, b) shrunk toward the common point
+    x by t = min(1, 1/|b - x|), so that b' lies in the unit window."""
+    far = linf_norm(vsub(b, x))
+    if far <= 1:
+        return ONE, a, b
+    t = 1 / far
+    return t, vadd(x, vscale(t, vsub(a, x))), vadd(x, vscale(t, vsub(b, x)))
+
+
+def _check_window_pair(system: _ReachSystem, x: Vec, c: Vec, delta: Fraction,
+                       t: Fraction, a: Vec, b: Vec) -> None:
+    """InternalError unless a is in s1, b is in s2 and in the unit window
+    around x, and a - b = t * delta * c with t * delta > 0, for the pair
+    whose reach system this is. Membership is decided on the system's
+    integer rows, each point over one denominator; delta's column is
+    zero in those rows, so a point of n entries is read in full."""
+    rows, m1, e1 = system.rows, system.first_ineqs, system.first_eqs
+    reach = t * delta
+    if not (reach > 0 and vsub(a, b) == vscale(reach, c) and linf_norm(vsub(b, x)) <= 1
+            and _satisfies(IntegerRows(rows.ineq[:m1], rows.eq[:e1], rows.scale), (),
+                           *over_one_denominator(a))
+            and _satisfies(IntegerRows(rows.ineq[m1:-1], rows.eq[e1:], rows.scale), (),
+                           *over_one_denominator(b))):
+        raise InternalError("the unit window failed to certify an interior difference")
 
 
 @dataclass(frozen=True)

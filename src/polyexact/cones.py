@@ -12,13 +12,15 @@ polar cone; the tests cross-check them against membership LPs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import dd
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .lp import NONNEG, LpOptimal, make_program, solve_lp
 from .linalg import (
     Vec,
     dot,
+    integerize,
     is_zero_vec,
     lead_normalized,
     reduce_mod_subspace,
@@ -42,16 +44,41 @@ class PolyhedralCone:
     # (rays, lineality) of the polar cone, from the double description
     # make_cone ran; not part of the cone's value
     _polar: tuple | None = field(default=None, compare=False, hash=False, repr=False)
+    # polar vectors already checked as witnesses of points outside
+    _checked: set = field(default_factory=set, init=False, compare=False,
+                          hash=False, repr=False)
 
     def contains(self, x) -> bool:
-        """Membership by one LP, solved once per point and kept on the
-        cone, so asking a shared cone again solves nothing."""
+        """Membership, decided once per point and kept on the cone, so
+        asking a shared cone again decides nothing. A point outside is
+        answered from the polar (bipolar theorem, Rockafellar 1970,
+        section 14): a polar ray p with p.x > 0 or a polar lineality
+        vector l with l.x != 0. That vector is checked once per cone
+        against the generators and the lineality (_check_polar_witness).
+        A point inside is decided by one LP, whose verified combination
+        of the generators is the witness."""
         x = vec(x)
         if len(x) != self.dim:
             return False
         if x not in self._members:
-            self._members[x] = _conic_membership(self.generators, self.lineality, x)
+            self._members[x] = self._decide(x)
         return self._members[x]
+
+    def _decide(self, x: Vec) -> bool:
+        witness = _polar_witness(self.polar(), x)
+        if witness is not None:
+            if witness not in self._checked:
+                _check_polar_witness(self, *witness)
+                self._checked.add(witness)
+            return False
+        if not _conic_membership(self.generators, self.lineality, x):
+            raise InternalError("the polar misses a point outside the cone")
+        return True
+
+    def polar(self) -> tuple:
+        """(rays, lineality) of the polar cone, as make_cone kept them. A
+        cone built by hand runs that double description here."""
+        return self._polar or dd.cone_from_inequalities(list(self.sample_directions()), self.dim)
 
     def sample_directions(self) -> tuple[Vec, ...]:
         """Nonzero members spanning the cone, lineality in both signs."""
@@ -60,6 +87,33 @@ class PolyhedralCone:
             out.append(l)
             out.append(vneg(l))
         return tuple(out)
+
+
+def _polar_witness(polar, x: Vec) -> tuple[Vec, bool] | None:
+    """(p, False) for a polar ray p with p.x > 0, else (l, True) for a
+    polar lineality vector l with l.x != 0, else None. Each test is an
+    int dot product, each vector scaled by a positive factor."""
+    rays, lin = polar
+    xs = integerize(x)
+    for p in rays:
+        if sum(map(mul, integerize(p), xs)) > 0:
+            return p, False
+    for l in lin:
+        if sum(map(mul, integerize(l), xs)):
+            return l, True
+    return None
+
+
+def _check_polar_witness(c: "PolyhedralCone", p: Vec, in_lineality: bool) -> None:
+    """InternalError unless p is in the polar of c: p.g <= 0 on every
+    generator g (= 0 when p is a polar lineality vector) and p.l = 0 on
+    every lineality vector l. Decided in integers, each vector scaled
+    by a positive factor."""
+    ps = integerize(p)
+    dots = [sum(map(mul, ps, integerize(g))) for g in c.generators]
+    if (any(d > 0 or (in_lineality and d) for d in dots)
+            or any(sum(map(mul, ps, integerize(l))) for l in c.lineality)):
+        raise InternalError("a polar vector fails the cone it would separate from")
 
 
 def _conic_membership(gens, lin, x: Vec) -> bool:
@@ -84,8 +138,9 @@ def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
     1996). g lies in the lineality space iff Z(g) is all of P. The rest
     are reduced modulo that space, and a reduced generator is an extreme
     ray iff no other one h has Z(g) within Z(h). The cone keeps the
-    polar's rays and lineality for cone_rows. Vectors of the wrong
-    length raise InputError, and the DD caps raise CapacityError.
+    polar's rays and lineality for contains and cone_rows. Vectors of
+    the wrong length raise InputError, and the DD caps raise
+    CapacityError.
     """
     gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
     lin = [vec(l) for l in lineality if not is_zero_vec(vec(l))]
@@ -118,11 +173,10 @@ def cone_sum(a: PolyhedralCone, b: PolyhedralCone) -> PolyhedralCone:
 
 def cone_rows(c: PolyhedralCone) -> tuple[Vec, ...]:
     """Inequality normals a with c = {x : a.x <= 0 for all a}: the rays
-    of the polar cone and both signs of its lineality, as make_cone
-    kept them. A cone built by hand runs that double description here.
-    The origin's polar is the whole space, so its rows pin every
+    of the polar cone and both signs of its lineality (see polar). The
+    origin's polar is the whole space, so its rows pin every
     coordinate."""
-    rays, lin = c._polar or dd.cone_from_inequalities(list(c.sample_directions()), c.dim)
+    rays, lin = c.polar()
     rows = list(rays)
     for l in lin:
         rows.append(l)

@@ -182,22 +182,35 @@ def is_extremal_system(s1: ConvexSet, s2: ConvexSet,
 
 def _verified_perturbation(s1: ConvexSet, s2: ConvexSet,
                            evidence: Row, eps: Fraction) -> Vec:
+    """The translation a = -eps * g / |g| for the evidence row (g, beta),
+    checked by its separating functional g (_check_perturbation). The
+    row is valid on s1 - s2 with beta <= 0, so sup over s1 of g is at
+    most inf over s2 of g, and g.a = -eps * |g|_2^2 / |g| < 0 makes the
+    gap strict."""
     g, _ = evidence
     a = vscale(-eps / linf_norm(g), g)
-    for _ in range(64):
-        if s1.translate(a).intersect(s2).is_empty():
-            return a
-        a = vscale(Fraction(1, 2), a)
-    raise InternalError("no verified translation after 64 halvings")
+    _check_perturbation(s1, s2, g, a, eps)
+    return a
+
+
+def _check_perturbation(s1: ConvexSet, s2: ConvexSet, g: Vec, a: Vec,
+                        eps: Fraction) -> None:
+    """InternalError unless |a| <= eps and g separates s1 + a from s2
+    strictly: sup over s1 of g, plus g.a, below inf over s2 of g, both
+    from the sets' own prepared systems (_sup). Then s1 + a and s2 are
+    disjoint."""
+    if linf_norm(a) > eps or not _sup(s1, g) + dot(g, a) < -_sup(s2, vneg(g)):
+        raise InternalError("the perturbation does not separate the translated sets")
 
 
 def find_perturbation(s1: ConvexSet, s2: ConvexSet, epsilon) -> Vec:
     """Translation a with sup-norm at most epsilon making the translated
-    first set disjoint from the second, verified by an emptiness check.
+    first set disjoint from the second, verified by a functional that
+    separates them strictly.
 
     The direction comes from a valid row separating the origin from the
-    difference set, so the first candidate already works; the halving
-    retry is kept as a guard and failing it is an internal error.
+    difference set, and that row's normal is the functional (see
+    _verified_perturbation); a failed check is an internal error.
     """
     _check_pair(s1, s2)
     eps = _positive_epsilon(epsilon)

@@ -104,6 +104,15 @@ def integerize(u: Vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def over_one_denominator(v) -> tuple[list[int], int]:
+    """(V, d) with v = V/d, where d > 0 is the lcm of v's denominators."""
+    dens = [x.denominator for x in v]
+    d = lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // e) for x, e in zip(v, dens)], d
+
+
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form. Returns the nonzero rows and their pivot
     column indices; input rows are not modified."""

@@ -77,7 +77,7 @@ from operator import mul
 from typing import Union
 
 from .errors import CapacityError, InputError, InternalError, PreconditionError
-from .linalg import ZERO, Vec, frac, lcm_all, vec
+from .linalg import ZERO, Vec, frac, lcm_all, over_one_denominator, vec
 
 FREE = 0
 NONNEG = 1
@@ -616,7 +616,7 @@ class IntegerRows:
 
 
 def _integer_row(a: Vec, b: Fraction) -> tuple[tuple[int, ...], int, int]:
-    xs, s = _over_one_denominator((*a, b))
+    xs, s = over_one_denominator((*a, b))
     return tuple(xs[:-1]), xs[-1], s
 
 
@@ -627,15 +627,6 @@ def integer_rows(lp: LinearProgram) -> IntegerRows:
     scale = lcm(*[s for _, _, s in ineq + eq])
     return IntegerRows(tuple((a, b, scale // s) for a, b, s in ineq),
                        tuple((a, b, scale // s) for a, b, s in eq), scale)
-
-
-def _over_one_denominator(v) -> tuple[list[int], int]:
-    """(V, d) with v = V/d, where d > 0 is the lcm of v's denominators."""
-    dens = [x.denominator for x in v]
-    d = lcm(*dens)
-    if d == 1:
-        return [x.numerator for x in v], 1
-    return [x.numerator * (d // e) for x, e in zip(v, dens)], d
 
 
 def _in_orthant(signs, v) -> bool:
@@ -662,7 +653,7 @@ def _satisfies(rows: IntegerRows, signs, x: list[int], d: int) -> bool:
 
 
 def _feasible(rows: IntegerRows, signs, x: Vec) -> bool:
-    return _satisfies(rows, signs, *_over_one_denominator(x))
+    return _satisfies(rows, signs, *over_one_denominator(x))
 
 
 def _combine(rows: IntegerRows, y: list[int], z: list[int], n: int) -> tuple[list[int], int]:
@@ -696,15 +687,15 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
             x, y, z = outcome.point, outcome.dual_ineq, outcome.dual_eq
             if len(x) != n or len(y) != m1 or len(z) != m2:
                 return False
-            xs, dx = _over_one_denominator(x)
+            xs, dx = over_one_denominator(x)
             if not _satisfies(rows, lp.var_signs, xs, dx):
                 return False
-            w, d = _over_one_denominator(tuple(y) + tuple(z))
+            w, d = over_one_denominator(tuple(y) + tuple(z))
             if any(v < 0 for v in w[:m1]):
                 return False
             # g = c + A^T y - E^T z = cs/dc + gs/ds
             gs, rhs = _combine(rows, w[:m1], [-v for v in w[m1:]], n)
-            cs, dc = _over_one_denominator(lp.objective)
+            cs, dc = over_one_denominator(lp.objective)
             ds = d * rows.scale
             if not _dual_signs_ok(lp.var_signs, [c * ds + g * dc for c, g in zip(cs, gs)]):
                 return False
@@ -715,7 +706,7 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
             y, z = outcome.farkas_ineq, outcome.farkas_eq
             if len(y) != m1 or len(z) != m2:
                 return False
-            w, _ = _over_one_denominator(tuple(y) + tuple(z))
+            w, _ = over_one_denominator(tuple(y) + tuple(z))
             if any(v < 0 for v in w[:m1]):
                 return False
             h, rhs = _combine(rows, w[:m1], w[m1:], n)
@@ -726,12 +717,12 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome,
                 return False
             if not _feasible(rows, lp.var_signs, x):
                 return False
-            rs, _ = _over_one_denominator(r)
+            rs, _ = over_one_denominator(r)
             if any(sum(map(mul, a, rs)) > 0 for a, _, _ in rows.ineq):
                 return False
             if any(sum(map(mul, a, rs)) for a, _, _ in rows.eq):
                 return False
-            cs, _ = _over_one_denominator(lp.objective)
+            cs, _ = over_one_denominator(lp.objective)
             return _in_orthant(lp.var_signs, rs) and sum(map(mul, cs, rs)) < 0
         return False
     except (TypeError, AttributeError, IndexError):

@@ -244,29 +244,26 @@ class ConvexSet:
         """Algebraic interior, checked from its definition: the point
         must absorb a segment in both orientations of every coordinate
         direction. For a convex set the hull of those segments is a
-        neighborhood, so spanning directions suffice."""
+        neighborhood, so spanning directions suffice. Whether a segment
+        is blocked is read off this set's own rows (_segment_blocked), so
+        the test shares nothing with the reach programs of calculus."""
         x = self._point(x)
         if not self.contains(x):
             return False
         for i in range(self.dim):
             for sign in (1, -1):
-                if self._segment_reach(x, unit_vec(self.dim, i, sign)) <= 0:
+                if self._segment_blocked(x, unit_vec(self.dim, i, sign)):
                     return False
         return True
 
-    def _segment_reach(self, x: Vec, d: Vec) -> Fraction:
-        """max t in [0,1] with x + t d inside, computed on rows."""
+    def _segment_blocked(self, x: Vec, d: Vec) -> bool:
+        """For x in the set: no t > 0 keeps x + t d inside. That holds
+        exactly when some row stops d at x, an equality row with a.d != 0
+        or an inequality row tight at x with a.d > 0, and that row is
+        the witness."""
         h = self.hrep()
-        # one scalar variable t: a.(x + t d) <= b  ->  (a.d) t <= b - a.x
-        rows = [((dot(a, d),), b - dot(a, x)) for a, b in h.ineqs]
-        rows.append(((Fraction(1),), Fraction(1)))
-        eqs = []
-        for a, b in h.eqs:
-            eqs.append(((dot(a, d),), b - dot(a, x)))
-        out = solve_lp(make_program([-1], ineqs=rows, eqs=eqs, signs=[NONNEG]))
-        if not isinstance(out, LpOptimal):
-            return Fraction(0)
-        return -out.value
+        return (any(dot(a, d) for a, _ in h.eqs)
+                or any(dot(a, d) > 0 and dot(a, x) == b for a, b in h.ineqs))
 
     def is_empty(self) -> bool:
         if self._vrep is not None:

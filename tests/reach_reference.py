@@ -1,10 +1,14 @@
-"""The reach program along one direction, built whole and solved cold.
+"""Reach programs built whole and solved cold.
 
 The library solves all reach programs of a pair through one prepared
-system (calculus._reach_system). This is the program each of them
-stands for, kept as an independent cross-check of that route.
+system over (x1, delta) (calculus._reach_system). reach_program is the
+program each of them stands for, over (x1, x2, delta), kept as an
+independent cross-check of that route. The library tells whether a
+segment inside one set is blocked off its rows (ConvexSet._segment_blocked);
+reference_segment_reach is the one-variable LP it replaces, which reads
+zero exactly on a blocked segment.
 """
-from polyexact.linalg import ONE, ZERO, zero_vec
+from polyexact.linalg import ONE, ZERO, dot, zero_vec
 from polyexact.lp import FREE, NONNEG, LpInfeasible, LpOptimal, make_program, solve_lp
 
 
@@ -46,3 +50,15 @@ def reference_reach(s1, s2, direction):
         return -out.value, out.point[:n], out.point[n:2 * n]
     assert isinstance(out, LpInfeasible)
     return ZERO, None, None
+
+
+def reference_segment_reach(s, x, d):
+    """max t in [0, 1] with x + t d in s, by one LP in t on the rows of
+    s; zero when the program is infeasible."""
+    h = s.hrep()
+    # a.(x + t d) <= b  ->  (a.d) t <= b - a.x
+    ineqs = [((dot(a, d),), b - dot(a, x)) for a, b in h.ineqs]
+    ineqs.append(((ONE,), ONE))
+    eqs = [((dot(a, d),), b - dot(a, x)) for a, b in h.eqs]
+    out = solve_lp(make_program([-1], ineqs=ineqs, eqs=eqs, signs=[NONNEG]))
+    return -out.value if isinstance(out, LpOptimal) else ZERO

@@ -212,14 +212,56 @@ def test_report_touching_corner_boxes():
 
 
 def test_report_raises_when_the_unit_window_fails(monkeypatch):
-    corners = calculus._corner_decompositions
+    build = calculus._window_pair
+    for tamper in [
+        # a' moved off its corner's ray
+        lambda t, a, b: (t, vadd(a, (F(1, 1000), 0)), b),
+        # both moved up the axis, so b' leaves the unit window
+        lambda t, a, b: (t, vadd(a, (0, 5)), vadd(b, (0, 5))),
+        # b' moved down, off its ray and out of the window
+        lambda t, a, b: (t, a, vadd(b, (0, -5))),
+    ]:
+        monkeypatch.setattr(calculus, "_window_pair",
+                            lambda x, a, b, tamper=tamper: tamper(*build(x, a, b)))
+        with pytest.raises(InternalError, match="unit window"):
+            qualification_report(upper_halfplane(), vertical_axis(), (0, 0))
 
-    def no_window(s1, s2, window=None):
-        return corners(s1, s2) if window is None else None
 
-    monkeypatch.setattr(calculus, "_corner_decompositions", no_window)
+_ORIGIN = vec((0, 0))
+
+
+@pytest.mark.parametrize("c, delta, t, a, b", [
+    ((1, 1), 1, 1, (1, F(3, 2)), (0, 0)),          # a - b off the ray
+    ((1, 1), 1, 1, (1, 4), (0, 3)),                # b outside the window
+    ((1, -1), 1, 1, (1, F(-1, 2)), (0, F(1, 2))),  # a outside s1
+    ((1, 1), 1, 1, (F(3, 2), 1), (F(1, 2), 0)),    # b right of s2
+    ((1, 1), 1, 1, (F(1, 2), 1), (F(-1, 2), 0)),   # b left of s2
+    ((1, 1), 1, 0, (0, 0), (0, 0)),                # a reach of zero
+], ids=["ray", "window", "first-set", "second-set", "second-set-left", "zero-reach"])
+def test_window_check_rejects_each_broken_condition(c, delta, t, a, b):
+    # s1 = {y >= 0} and s2 = {x = 0}: each pair fails one condition only
+    system = calculus._reach_system(upper_halfplane(), vertical_axis())
+    good = vec((1, 1)), vec((0, 0))
+    calculus._check_window_pair(system, _ORIGIN, vec((1, 1)), F(1), F(1), *good)
     with pytest.raises(InternalError, match="unit window"):
-        qualification_report(unit_square(), box(F(1, 2), F(3, 2), 0, 1), (F(3, 4), F(1, 2)))
+        calculus._check_window_pair(system, _ORIGIN, vec(c), F(delta), F(t), vec(a), vec(b))
+
+
+def test_window_pairs_are_the_shrunk_corner_pairs():
+    # the windowed pairs of every interior corner lie where the windowed
+    # reach program of the same corner, solved cold, says a pair exists
+    for dim in (2, 3):
+        for seed in range(1, 13):
+            s1, s2, x = random_pair_with_common_point(seed, dim)
+            corners = calculus._corner_decompositions(s1, s2)
+            if corners is None:
+                continue
+            window = s2.intersect(ball_inf(x, 1))
+            for c, delta, a, b in corners:
+                t, a2, b2 = calculus._window_pair(x, a, b)
+                assert s1.contains(a2) and window.contains(b2)
+                assert vsub(a2, b2) == vscale(t * delta, c)
+                assert 0 < t * delta <= reference_reach(s1, window, c)[0]
 
 
 def test_report_requires_common_point():

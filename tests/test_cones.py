@@ -25,7 +25,7 @@ from polyexact.cones import (
     make_cone,
     normal_cone,
 )
-from polyexact.errors import CapacityError, InputError, PreconditionError
+from polyexact.errors import CapacityError, InputError, InternalError, PreconditionError
 from polyexact.linalg import dot, rank, vec, vneg
 from polyexact.oracle import random_polytope
 from polyexact.sets import ConvexSet
@@ -295,20 +295,127 @@ def test_dd_caps_apply(monkeypatch, cap):
 
 
 def test_contains_solves_each_point_once(monkeypatch):
-    solved = []
+    solved, checked = [], []
     membership = cones._conic_membership
+    check = cones._check_polar_witness
 
     def counted(gens, lin, x):
         solved.append(x)
         return membership(gens, lin, x)
 
+    def counted_check(c, p, in_lineality):
+        checked.append(p)
+        check(c, p, in_lineality)
+
     c = make_cone(2, generators=[(1, 0), (0, 1)])
     twin = make_cone(2, generators=[(0, 1), (1, 0)])
     monkeypatch.setattr(cones, "_conic_membership", counted)
+    monkeypatch.setattr(cones, "_check_polar_witness", counted_check)
     for _ in range(3):
         assert c.contains((1, 2)) and c.contains((F(1), F(2)))
-        assert not c.contains((-1, 0))
+        assert not c.contains((-1, 0)) and not c.contains((-2, 5))
         assert not c.contains((1, 2, 3))
-    assert solved == [vec((1, 2)), vec((-1, 0))]
+    # a point inside is solved once; points outside are answered by the
+    # polar ray (-1, 0), which is checked once
+    assert solved == [vec((1, 2))]
+    assert checked == [vec((-1, 0))]
     # the kept answers are not part of the cone's value
     assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+
+
+def _sample_points(dim, gens, lin, rng):
+    """Points to ask a cone about: its inputs and their negations, sums
+    of two, and random integer and rational points."""
+    inputs = [vec(g) for g in gens + lin]
+    out = inputs + [vneg(g) for g in inputs]
+    out += [tuple(a + b for a, b in zip(g, h)) for g, h in zip(inputs, inputs[1:])]
+    out += [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+            for _ in range(6)]
+    return out
+
+
+def _assert_polar_answers(c, gens, lin, points):
+    """contains agrees with the membership LP at each point, and each
+    polar witness separates the point from every input vector."""
+    for x in map(vec, points):
+        want = cones._conic_membership(c.generators, c.lineality, x)
+        assert c.contains(x) == want, (c, x)
+        assert cone_negate(c).contains(vneg(x)) == want, (c, x)
+        witness = cones._polar_witness(c._polar, x)
+        assert (witness is None) == want, (c, x)
+        if witness is not None:
+            p, in_lineality = witness
+            assert dot(p, x) > 0 or (in_lineality and dot(p, x))
+            assert all(dot(p, g) <= 0 and not (in_lineality and dot(p, g)) for g in map(vec, gens))
+            assert all(not dot(p, l) for l in map(vec, lin))
+
+
+def test_polar_answers_match_membership_lps_on_random_sets():
+    rng = random.Random(7)
+    outside = 0
+    for seed in range(200):
+        dim, gens, lin = random_generator_set(seed)
+        points = _sample_points(dim, gens, lin, rng)
+        c = make_cone(dim, gens, lin)
+        _assert_polar_answers(c, gens, lin, points)
+        outside += sum(not c.contains(x) for x in points)
+        if seed < 40:
+            # a cone built by hand runs its polar's double description
+            by_hand = PolyhedralCone(dim, c.generators, c.lineality)
+            assert [by_hand.contains(x) for x in points] == [c.contains(x) for x in points]
+    assert outside > 500
+
+
+def test_polar_answers_match_membership_lps_on_suite_questions(monkeypatch):
+    asked = []
+    decide = cones.PolyhedralCone._decide
+
+    def recorded(c, x):
+        asked.append((c, x))
+        return decide(c, x)
+
+    monkeypatch.setattr(cones.PolyhedralCone, "_decide", recorded)
+    assert suite.run_suite(dims=(2, 3), seed_range=(1, 4), lp_count=10, boundary_count=10).ok
+    answers = [(c, x, decide(c, x)) for c, x in asked]
+    assert sum(not a for _, _, a in answers) > 100
+    for c, x, answer in answers:
+        assert c._polar is not None
+        assert answer == cones._conic_membership(c.generators, c.lineality, x), (c, x)
+
+
+@PROPERTY
+@given(cone_inputs(), st.data())
+def test_polar_answers_match_membership_lps(inputs, data):
+    dim, gens, lin = inputs
+    point = st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * dim)
+    points = data.draw(st.lists(point, min_size=1, max_size=4))
+    points += [tuple(-x for x in g) for g in gens]
+    _assert_polar_answers(make_cone(dim, gens, lin), gens, lin, points)
+
+
+@pytest.mark.parametrize("gens, lin, rays, polar_lin, x", [
+    # the polar ray (1, -1) is positive on the generator (1, 0)
+    ([(1, 0), (0, 1)], [], [(1, -1), (0, -1)], [], (1, 0)),
+    # the polar lineality vector (1, 1) meets the generator (1, 0)
+    ([(1, 0)], [(0, 1)], [(-1, 0)], [(1, 1)], (1, 0)),
+    # the polar lineality vector (-1, 1) is negative on the generator (1, 0)
+    ([(1, 0)], [], [(-1, 0)], [(-1, 1)], (0, 1)),
+    # the polar ray (0, 1) meets the lineality (0, 1)
+    ([(1, 0)], [(0, 1)], [(-1, 0), (0, 1)], [], (0, 1)),
+], ids=["ray-fails-generator", "lineality-fails-generator", "lineality-below-generator",
+        "ray-fails-lineality"])
+def test_tampered_polar_witness_raises(gens, lin, rays, polar_lin, x):
+    c = make_cone(2, gens, lin)
+    polar = (tuple(map(vec, rays)), tuple(map(vec, polar_lin)))
+    bad = PolyhedralCone(2, c.generators, c.lineality, polar)
+    with pytest.raises(InternalError, match="polar vector"):
+        bad.contains(x)
+
+
+def test_polar_missing_a_row_raises():
+    # the quadrant's polar with its ray (0, -1) dropped
+    c = make_cone(2, generators=[(1, 0), (0, 1)])
+    bad = PolyhedralCone(2, c.generators, c.lineality, ((vec((-1, 0)),), ()))
+    assert not bad.contains((-1, 0))
+    with pytest.raises(InternalError, match="misses"):
+        bad.contains((0, -1))

@@ -1,7 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyexact import extremality
+from polyexact.calculus import support_value
 from polyexact.errors import InputError, InternalError, PreconditionError
 from polyexact.extremality import (
     EPSILON_GRID,
@@ -15,7 +19,7 @@ from polyexact.extremality import (
     support_point_near,
     verify_approx_ep,
 )
-from polyexact.linalg import dot, l1_norm, linf_norm, vsub, zero_vec
+from polyexact.linalg import dot, l1_norm, linf_norm, vec, vneg, vscale, zero_vec
 from polyexact.oracle import (
     grid_cell,
     grid_interior_verdict,
@@ -83,6 +87,38 @@ def test_perturbation_actually_separates():
         a = find_perturbation(s1, s2, eps)
         assert linf_norm(a) <= eps
         assert s1.translate(a).intersect(s2).is_empty()
+
+
+def test_perturbation_is_the_first_candidate_and_empties_the_intersection():
+    # the emptiness check the perturbation's separating functional
+    # replaced, on random extremal pairs
+    checked = 0
+    for dim in (2, 3):
+        for seed in range(1, 41):
+            s1, s2, _ = random_pair_with_common_point(seed, dim)
+            v = is_extremal_system(s1, s2, epsilon=F(1, 3))
+            if not v.extremal:
+                continue
+            g, _ = v.boundary_evidence
+            assert v.perturbation == vscale(-F(1, 3) / linf_norm(g), g)
+            assert s1.translate(v.perturbation).intersect(s2).is_empty()
+            checked += 1
+    assert checked > 30
+
+
+def test_perturbation_with_its_sign_flipped_raises(monkeypatch):
+    s1, s2 = box(0, 1, 0, 1), box(1, 2, 0, 1)
+    g, eps = vec((1, 0)), F(1, 10)
+    a = find_perturbation(s1, s2, eps)
+    extremality._check_perturbation(s1, s2, g, a, eps)
+    for bad in (vneg(a), zero_vec(2), vscale(2, a)):
+        with pytest.raises(InternalError, match="does not separate"):
+            extremality._check_perturbation(s1, s2, g, bad, eps)
+    # the same flip inside the library
+    scale = extremality.vscale
+    monkeypatch.setattr(extremality, "vscale", lambda c, u: vneg(scale(c, u)))
+    with pytest.raises(InternalError, match="does not separate"):
+        find_perturbation(s1, s2, eps)
 
 
 def test_find_perturbation_preconditions():
@@ -328,3 +364,59 @@ def test_verdict_determinism():
         b = is_extremal_system(s1, s2)
         assert (a.extremal, a.boundary_evidence, a.interior_ball_radius) == \
             (b.extremal, b.boundary_evidence, b.interior_ball_radius)
+
+
+# -- invariance properties ------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+SHIFT = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _mapped(s, perm, shift):
+    """The set x -> (x permuted by perm) + shift, from its rows."""
+    h = s.hrep()
+
+    def row(a, b):
+        p = tuple(a[perm.index(j)] for j in range(len(perm)))
+        return p, b + dot(p, shift)
+    return ConvexSet.from_hrep(h.dim, ineqs=[row(a, b) for a, b in h.ineqs],
+                               eqs=[row(a, b) for a, b in h.eqs])
+
+
+@st.composite
+def pair_maps(draw):
+    dim = draw(st.integers(2, 3))
+    seed = draw(st.integers(1, 40))
+    perm = draw(st.permutations(range(dim)))
+    shift = vec(draw(st.tuples(*[SHIFT] * dim)))
+    return random_pair_with_common_point(seed, dim)[:2], perm, shift
+
+
+@PROPERTY
+@given(pair_maps())
+def test_verdict_survives_a_common_translation_and_permutation(inputs):
+    (s1, s2), perm, shift = inputs
+    v = is_extremal_system(s1, s2)
+    for p, t in ((perm, shift), (perm, zero_vec(len(perm))), (list(range(len(perm))), shift)):
+        w = is_extremal_system(_mapped(s1, p, t), _mapped(s2, p, t))
+        assert (w.extremal, w.interior_ball_radius) == (v.extremal, v.interior_ball_radius)
+
+
+@PROPERTY
+@given(st.integers(2, 3), st.integers(1, 40))
+def test_swapped_pair_keeps_the_verdict_and_the_negated_functional(dim, seed):
+    s1, s2, _ = random_pair_with_common_point(seed, dim)
+    assert is_extremal_system(s2, s1).extremal == is_extremal_system(s1, s2).extremal
+    c = separate(s1, s2)
+    if c is None:
+        assert separate(s2, s1) is None
+        return
+    # the recomputed supports agree with the certificate
+    sup1 = support_value(s1, c.functional)
+    inf2 = support_value(s2, vneg(c.functional))
+    assert sup1.value == c.sup1 and -inf2.value == c.inf2 and c.sup1 <= c.inf2
+    # -g separates the swapped pair: sup over s2 of -g <= inf over s1 of -g
+    assert inf2.value <= -sup1.value
+    swapped = separate(s2, s1)
+    assert swapped is not None
+    assert support_value(s2, swapped.functional).value == swapped.sup1 <= swapped.inf2

@@ -143,28 +143,31 @@ def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
 
 def test_slice_counts_are_pinned(monkeypatch):
     """Counts on the 12-seed planar slice: 18 Minkowski sums (one per
-    pair task), 145 reaches along a direction, 91 canonicalized cones
-    and 515 conic membership LPs, all of them asked by contains. Before
-    the sharing they were 64, 302, 327 and 2,078; before contains kept
-    its answers there were 1,242 membership LPs, 874 while make_cone
-    still canonicalized by membership LPs, and 572 while
+    pair task), 105 reaches along a direction, 91 canonicalized cones
+    and 337 conic membership LPs, all of them asked by contains about
+    points inside. Before the sharing they were 64, 302, 327 and 2,078;
+    before contains kept its answers there were 1,242 membership LPs,
+    874 while make_cone still canonicalized by membership LPs, 572 while
     intersection_rule held a left cone equal to a summand as a distinct
-    object. The reaches run on 28 reach systems, one per ordered pair of
-    sets: the 18 tasks' own pairs and 10 windows.
+    object, and 515 while points outside were decided by LP too. The
+    reaches run on 18 reach systems, one per task's ordered pair; there
+    were 145 reaches on 28 systems while the unit window of each
+    interior pair was solved again instead of checked.
 
-    Every certificate is checked: 2,313 checks, 2,078 of them in the
+    Every certificate is checked: 2,092 checks, 1,857 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
-    them. There are 214 double descriptions. They were 189 while
-    cone_rows ran again the polar DD that make_cone had run, and 162
-    while canonical_hrep solved LPs instead (2,530 checks in the
-    solver)."""
+    them. They were 2,313 and 2,078 while the window, the segment reach
+    and the points outside cones were solved. There are 214 double
+    descriptions. They were 189 while cone_rows ran again the polar DD
+    that make_cone had run, and 162 while canonical_hrep solved LPs
+    instead (2,530 checks in the solver)."""
     counts = Counts(monkeypatch)
     assert suite.run_suite(**SLICE).ok
     assert counts.minkowski == 18
-    assert len(counts.reaches) == 145
+    assert len(counts.reaches) == 105
     assert counts.make_cone == 91
-    assert counts.memberships == 515
-    assert (counts.checks, counts.solver_checks) == (2313, 2078)
+    assert counts.memberships == 337
+    assert (counts.checks, counts.solver_checks) == (2092, 1857)
     assert counts.dd == 214
     pairs = [(id(a), id(b)) for a, b, _ in counts.systems]
-    assert len(pairs) == len(set(pairs)) == 28
+    assert len(pairs) == len(set(pairs)) == 18

@@ -18,8 +18,15 @@ from polyexact.extremality import is_extremal_system
 from polyexact.instances import fixture_names, load_instance
 from polyexact.linalg import integer_rank, rank, vec
 from polyexact.oracle import random_pair_with_common_point
-from polyexact.sets import ConvexSet, ball_inf, make_hrep, make_vrep, sets_equal
+from polyexact.sets import (
+    ConvexSet,
+    ball_inf,
+    make_hrep,
+    make_vrep,
+    sets_equal,
+)
 from canonical_reference import reference_canonical_hrep
+from reach_reference import reference_segment_reach
 
 
 def unit_square():
@@ -216,6 +223,50 @@ def test_core_equals_interior_on_samples():
     for s in shapes:
         for x in pts:
             assert s.interior_contains(x) == s.core_contains(x)
+
+
+def test_segment_block_matches_the_lp_on_the_core_sweep(monkeypatch):
+    """Every segment the suite asks about, on dims 2-4 and seeds 1-8, is
+    blocked exactly when the one-variable LP gives it reach zero."""
+    asked = []
+    segment_blocked = ConvexSet._segment_blocked
+
+    def recorded(s, x, d):
+        blocked = segment_blocked(s, x, d)
+        asked.append((s, x, d, blocked))
+        return blocked
+
+    monkeypatch.setattr(ConvexSet, "_segment_blocked", recorded)
+    assert suite.run_suite(dims=(2, 3, 4), seed_range=(1, 8), lp_count=10, boundary_count=20).ok
+    assert len(asked) > 100
+    assert {blocked for *_, blocked in asked} == {True, False}
+    for s, x, d, blocked in asked:
+        assert blocked == (reference_segment_reach(s, x, d) == 0), (s, x, d)
+
+
+def test_segment_block_matches_the_lp_on_random_sets():
+    rng = random.Random(11)
+    hits = set()
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        ineqs = [(tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(0, 3))
+                 for _ in range(rng.randint(1, 5))]
+        eqs = []
+        if rng.random() < 0.3:
+            eqs.append((tuple(rng.randint(-1, 1) for _ in range(dim)), 0))
+        try:
+            s = ConvexSet.from_hrep(dim, ineqs=ineqs, eqs=eqs)
+        except InputError:
+            continue
+        for _ in range(6):
+            x = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+            if not s.contains(x):
+                continue
+            for d in [tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))]:
+                blocked = s._segment_blocked(vec(x), vec(d))
+                assert blocked == (reference_segment_reach(s, vec(x), vec(d)) == 0), (s, x, d)
+                hits.add((blocked, bool(s.hrep().eqs)))
+    assert hits == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_lazy_caches_are_built_once_under_threads(monkeypatch):
