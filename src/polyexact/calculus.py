@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from operator import mul
 
 from .cones import (
@@ -41,8 +41,8 @@ from .linalg import (
     ONE,
     ZERO,
     Vec,
+    combine,
     is_zero_vec,
-    l1_norm,
     linf_norm,
     over_one_denominator,
     unit_vec,
@@ -62,6 +62,7 @@ from .lp import (
     LpUnbounded,
     PreparedSystem,
     _satisfies,
+    combination_program,
     make_program,
     solve_lp,
 )
@@ -82,11 +83,13 @@ def _common_member(s1: ConvexSet, s2: ConvexSet, xbar) -> Vec:
 
 
 def common_point(s1: ConvexSet, s2: ConvexSet) -> Vec | None:
-    """A point of the intersection, or None when the sets are disjoint."""
+    """A point of the intersection, read off its prepared system, or None
+    when the sets are disjoint."""
     check_same_dim(s1, s2)
-    h = s1.intersect(s2).hrep()
-    out = solve_lp(make_program(zero_vec(h.dim), ineqs=h.ineqs, eqs=h.eqs))
-    return out.point if isinstance(out, LpOptimal) else None
+    joint = s1.intersect(s2)
+    if joint.is_empty():
+        return None
+    return joint.lp_system().solve(zero_vec(s1.dim)).point
 
 
 class _ReachSystem(PreparedSystem):
@@ -216,24 +219,11 @@ def core_at_zero(s1: ConvexSet, s2: ConvexSet) -> bool:
 
 
 def meets_interior(s1: ConvexSet, s2: ConvexSet) -> bool:
-    """Whether some point of s1 is interior to s2. One program inflates
-    a slack variable over the canonical rows of s2 while staying inside
-    s1; a positive best slack is exactly an interior meeting point."""
-    ch = s2.canonical_hrep()
-    if ch.eqs:
-        return False
-    h1 = s1.hrep()
-    n = s1.dim
-    ineqs = [(a + (ZERO,), b) for a, b in h1.ineqs]
-    ineqs += [(a + (l1_norm(a),), b) for a, b in ch.ineqs]
-    ineqs.append((zero_vec(n) + (ONE,), ONE))
-    eqs = [(a + (ZERO,), b) for a, b in h1.eqs]
-    out = solve_lp(make_program(zero_vec(n) + (-ONE,), ineqs=ineqs, eqs=eqs))
-    if isinstance(out, LpOptimal):
-        return -out.value > 0
-    if isinstance(out, LpInfeasible):
-        return False
-    raise InternalError("slack capped at one cannot be unbounded")
+    """Whether some point of s1 is interior to s2: one slack program over
+    the raw rows of s2 inside s1 (ConvexSet._slack_point), with no
+    canonical form; an equality row of s2 leaves no interior."""
+    check_same_dim(s1, s2)
+    return s2._slack_point(within=s1) is not None
 
 
 @dataclass(frozen=True)
@@ -363,9 +353,10 @@ def intersection_rule(s1: ConvexSet, s2: ConvexSet, xbar, probes=None) -> Inters
     return IntersectionRuleResult(lhs, rhs, cones_equal(lhs, rhs), tuple(decs))
 
 
+@cache
 def standard_probes(dim: int) -> tuple[Vec, ...]:
     """Deterministic probe directions: all signed unit vectors followed
-    by sixteen fixed pseudo-random rational directions."""
+    by sixteen fixed pseudo-random rational directions, built once."""
     if dim < 1:
         raise InputError("dimension must be positive")
     out = [unit_vec(dim, i, sign) for i in range(dim) for sign in (1, -1)]
@@ -393,12 +384,17 @@ class SupportValue:
 
 
 def support_value(s: ConvexSet, xstar) -> SupportValue:
-    """Supremum of the functional over the set, by one linear program."""
+    """Supremum of the functional over the set, by one phase two on its
+    prepared system, kept on the set per functional (ConvexSet.cached)."""
     g = vec(xstar)
     if len(g) != s.dim:
         raise InputError("functional dimension does not match the set")
     if s.is_empty():
         raise PreconditionError("support of the empty set")
+    return s.cached(("support_value", g), partial(_solve_support, s, g))
+
+
+def _solve_support(s: ConvexSet, g: Vec) -> SupportValue:
     out = s.lp_system().solve(vneg(g))
     if isinstance(out, LpOptimal):
         return SupportValue(-out.value, out.point, None)
@@ -442,35 +438,22 @@ def inf_convolution_support(s1: ConvexSet, s2: ConvexSet, xstar) -> InfConvoluti
     if s1.is_empty() or s2.is_empty():
         raise PreconditionError("both sets must be nonempty")
     h1, h2 = s1.hrep(), s2.hrep()
-    normals: list[Vec] = []
-    objective: list[Fraction] = []
-    signs: list[int] = []
-    for h in (h1, h2):
-        for a, b in h.ineqs:
-            normals.append(a)
-            objective.append(b)
-            signs.append(NONNEG)
-        for a, b in h.eqs:
-            normals.append(a)
-            objective.append(b)
-            signs.append(FREE)
-    if not normals:
+    rows = h1.ineqs + h1.eqs + h2.ineqs + h2.eqs
+    signs = ([NONNEG] * len(h1.ineqs) + [FREE] * len(h1.eqs)
+             + [NONNEG] * len(h2.ineqs) + [FREE] * len(h2.eqs))
+    if not rows:
         if is_zero_vec(g):
             zero = zero_vec(s1.dim)
             return InfConvolutionValue("finite", ZERO, zero, zero)
         return InfConvolutionValue("plus-infinity", None, None, None)
-    k1 = len(h1.ineqs) + len(h1.eqs)
-    eqs = []
-    for j in range(s1.dim):
-        eqs.append((tuple(a[j] for a in normals), g[j]))
-    out = solve_lp(make_program(tuple(objective), eqs=eqs, signs=tuple(signs)))
+    normals = [a for a, _ in rows]
+    out = solve_lp(combination_program(normals, g, signs, costs=[b for _, b in rows]))
     if isinstance(out, LpInfeasible):
         return InfConvolutionValue("plus-infinity", None, None, None)
     if isinstance(out, LpUnbounded):
         return InfConvolutionValue("minus-infinity", None, None, None)
-    w1 = zero_vec(s1.dim)
-    for k in range(k1):
-        w1 = vadd(w1, vscale(out.point[k], normals[k]))
+    k1 = len(h1.ineqs) + len(h1.eqs)
+    w1 = combine(out.point[:k1], normals[:k1], s1.dim)
     return InfConvolutionValue("finite", out.value, w1, vsub(g, w1))
 
 

@@ -16,9 +16,10 @@ from operator import mul
 
 from . import dd
 from .errors import InternalError, PreconditionError
-from .lp import NONNEG, LpOptimal, make_program, solve_lp
+from .lp import FREE, NONNEG, LpOptimal, combination_program, solve_lp
 from .linalg import (
     Vec,
+    combine,
     dot,
     integerize,
     is_zero_vec,
@@ -27,6 +28,7 @@ from .linalg import (
     rref,
     vec,
     vneg,
+    vsub,
     zero_vec,
 )
 from .sets import ConvexSet
@@ -121,12 +123,8 @@ def _conic_membership(gens, lin, x: Vec) -> bool:
         return True
     if not gens and not lin:
         return False
-    dim = len(x)
-    cols = list(gens) + list(lin)
-    eqs = [([g[j] for g in cols], x[j]) for j in range(dim)]
-    signs = [NONNEG] * len(gens) + [0] * len(lin)
-    lp = make_program([0] * len(cols), eqs=eqs, signs=signs)
-    return isinstance(solve_lp(lp), LpOptimal)
+    signs = [NONNEG] * len(gens) + [FREE] * len(lin)
+    return isinstance(solve_lp(combination_program(tuple(gens) + tuple(lin), x, signs)), LpOptimal)
 
 
 def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
@@ -202,23 +200,17 @@ def cone_sum_decompose(a: PolyhedralCone, b: PolyhedralCone, x) -> tuple[Vec, Ve
     the sum. The split certifies membership in cone_sum(a, b)."""
     _same_dim(a, b)
     x = vec(x)
-    cols = (list(a.generators) + list(a.lineality)
-            + list(b.generators) + list(b.lineality))
+    cols = a.generators + a.lineality + b.generators + b.lineality
     if not cols:
         return (x, zero_vec(a.dim)) if is_zero_vec(x) else None
-    eqs = [([g[j] for g in cols], x[j]) for j in range(a.dim)]
-    signs = ([NONNEG] * len(a.generators) + [0] * len(a.lineality)
-             + [NONNEG] * len(b.generators) + [0] * len(b.lineality))
-    out = solve_lp(make_program([0] * len(cols), eqs=eqs, signs=signs))
+    signs = ([NONNEG] * len(a.generators) + [FREE] * len(a.lineality)
+             + [NONNEG] * len(b.generators) + [FREE] * len(b.lineality))
+    out = solve_lp(combination_program(cols, x, signs))
     if not isinstance(out, LpOptimal):
         return None
     na = len(a.generators) + len(a.lineality)
-    ya = zero_vec(a.dim)
-    for coef, g in zip(out.point[:na], cols[:na]):
-        if coef:
-            ya = tuple(u + coef * v for u, v in zip(ya, g))
-    yb = tuple(xi - ui for xi, ui in zip(x, ya))
-    return ya, yb
+    ya = combine(out.point[:na], cols[:na], a.dim)
+    return ya, vsub(x, ya)
 
 
 def normal_cone(s: ConvexSet, x) -> PolyhedralCone:

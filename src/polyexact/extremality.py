@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import meets_interior
+from .calculus import meets_interior, support_value
 from .cones import ep_condition, normal_cone
 from .errors import InputError, InternalError, PolyhedralError, PreconditionError
 from .linalg import (
     Vec,
+    combine,
     dot,
     frac,
     l1_norm,
@@ -221,10 +222,11 @@ def find_perturbation(s1: ConvexSet, s2: ConvexSet, epsilon) -> Vec:
 
 
 def _sup(s: ConvexSet, g: Vec) -> Fraction:
-    out = s.lp_system().solve(vneg(g))
-    if isinstance(out, LpOptimal):
-        return -out.value
-    raise InternalError("support value is not finite where it must be")
+    """The support value of g over s, which must be finite."""
+    out = support_value(s, g)
+    if not out.finite:
+        raise InternalError("support value is not finite where it must be")
+    return out.value
 
 
 def separate(s1: ConvexSet, s2: ConvexSet) -> SeparationCertificate | None:
@@ -251,9 +253,7 @@ def check_sufficient_interiority(s1: ConvexSet, s2: ConvexSet) -> bool:
     """True when the first set has interior points and none of them lies
     in the second set."""
     check_same_dim(s1, s2)
-    if s1.is_empty() or s1.canonical_hrep().eqs:
-        return False
-    return not meets_interior(s2, s1)
+    return s1.interior_point() is not None and not meets_interior(s2, s1)
 
 
 def _penalized_gap_minimum(s1: ConvexSet, s2: ConvexSet, xbar: Vec,
@@ -313,20 +313,9 @@ def _penalized_gap_minimum(s1: ConvexSet, s2: ConvexSet, xbar: Vec,
     if l1_norm(s) != 1:
         raise InternalError("gap multipliers do not form a unit functional")
     e1 = len(h1.eqs)
-    n1 = zero_vec(n)
-    for yi, (av, _) in zip(y[:m1], h1.ineqs):
-        if yi:
-            n1 = vadd(n1, vscale(yi, av))
-    for zi, (av, _) in zip(z[:e1], h1.eqs):
-        if zi:
-            n1 = vsub(n1, vscale(zi, av))
-    n2 = zero_vec(n)
-    for yi, (av, _) in zip(y[m1:m1 + m2], h2.ineqs):
-        if yi:
-            n2 = vadd(n2, vscale(yi, av))
-    for zi, (av, _) in zip(z[e1:], h2.eqs):
-        if zi:
-            n2 = vsub(n2, vscale(zi, av))
+    # the stationarity parts: sum y_i a_i - sum z_k e_k per block
+    n1 = combine(y[:m1] + tuple(-w for w in z[:e1]), [a for a, _ in h1.ineqs + h1.eqs], n)
+    n2 = combine(y[m1:base] + tuple(-w for w in z[e1:]), [a for a, _ in h2.ineqs + h2.eqs], n)
     return x1, x2, s, n1, n2
 
 

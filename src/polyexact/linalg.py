@@ -85,11 +85,16 @@ def linf_norm(u: Vec) -> Fraction:
     return max((abs(a) for a in u), default=ZERO)
 
 
-def lcm_all(nums) -> int:
-    out = 1
-    for n in nums:
-        out = out * n // gcd(out, n)
-    return out
+def combine(weights, vectors, n: int) -> Vec:
+    """sum_k weights[k] * vectors[k], a vector of n entries: a
+    combination read back from the weights an LP found. Zero weights
+    are skipped."""
+    out = [ZERO] * n
+    for w, v in zip(weights, vectors):
+        if w:
+            for j, x in enumerate(v):
+                out[j] += w * x
+    return tuple(out)
 
 
 def integerize(u: Vec) -> tuple[int, ...]:

@@ -77,7 +77,7 @@ from operator import mul
 from typing import Union
 
 from .errors import CapacityError, InputError, InternalError, PreconditionError
-from .linalg import ZERO, Vec, frac, lcm_all, over_one_denominator, vec
+from .linalg import ZERO, Vec, frac, over_one_denominator, vec
 
 FREE = 0
 NONNEG = 1
@@ -139,6 +139,20 @@ def make_program(objective, ineqs=(), eqs=(), signs=None) -> LinearProgram:
         if len(sg) != n or any(s not in (FREE, NONNEG, NONPOS) for s in sg):
             raise InputError("bad variable sign vector")
     return LinearProgram(obj, tuple(ia), tuple(ib), tuple(ea), tuple(eb), sg)
+
+
+def combination_program(columns, target, signs, costs=None) -> LinearProgram:
+    """The program over one weight w_k per column whose rows say
+    sum_k w_k * columns[k] = target, one equality row per coordinate.
+    signs restricts each weight (NONNEG for a cone generator, FREE for a
+    lineality vector or an equality multiplier) and costs, default
+    zero, is minimized. An optimal point is the weights; linalg.combine
+    reads the combination back. A column whose length is not the
+    target's raises InputError."""
+    if any(len(col) != len(target) for col in columns):
+        raise InputError(f"a column does not have the {len(target)} entries of the target")
+    eqs = [([col[j] for col in columns], t) for j, t in enumerate(target)]
+    return make_program([0] * len(columns) if costs is None else costs, eqs=eqs, signs=signs)
 
 
 def _check_literals(xs) -> None:
@@ -305,7 +319,7 @@ class _Tableau:
         A cost row pivoted along from the start is zero on every basic
         column and differs from den*c by a combination of the rows, which
         pins it down; this is that row, computed exactly."""
-        scale = lcm_all([x.denominator for x in objective] or [1])
+        scale = lcm(*(x.denominator for x in objective))
         c = [0] * (len(objective) + self.m + 1)
         for j, (x, s) in enumerate(zip(objective, self.lp.var_signs)):
             c[j] = (-1 if s == NONPOS else 1) * x.numerator * (scale // x.denominator)

@@ -16,9 +16,10 @@ canonical rows alike.
 Sets are immutable, so what is derived from them is kept on them.
 cached() holds results of one set by key: the prepared LP system of the
 rows (simplex phase one, run once; see lp.PreparedSystem), the rows of
-the double description, the canonical forms and the normal cone at
-each point asked. Emptiness is read off that phase one, and support
-values share it. cached_with() holds results of
+the double description, the canonical forms, whether the set is
+bounded, the normal cone at each point asked and the support value of
+each functional asked. Emptiness is read off that phase one, and
+support values share it. cached_with() holds results of
 a pair for the set's last partner, compared by identity: the difference
 set, the pair's prepared reach system and its reaches along the cube's
 corners and axes. Every question asked of one pair then shares one
@@ -35,7 +36,8 @@ from operator import mul
 
 from . import dd
 from .errors import InputError, InternalError, PreconditionError
-from .lp import NONNEG, LpOptimal, LpUnbounded, PreparedSystem, make_program, solve_lp
+from .lp import (NONNEG, LpOptimal, LpUnbounded, PreparedSystem, combination_program,
+                 make_program, solve_lp)
 from .linalg import (
     ONE,
     ZERO,
@@ -271,6 +273,10 @@ class ConvexSet:
         return self.lp_system().infeasible is not None
 
     def is_bounded(self) -> bool:
+        """No recession direction; decided once per set."""
+        return self.cached("is_bounded", self._build_is_bounded)
+
+    def _build_is_bounded(self) -> bool:
         if self.is_empty():
             return True
         if self._vrep is not None:
@@ -291,18 +297,27 @@ class ConvexSet:
 
     def interior_point(self) -> Vec | None:
         """A point with positive row slack everywhere, or None when the
-        interior is empty. Found by inflating a box inside the rows."""
+        interior is empty (see _slack_point)."""
+        return self._slack_point()
+
+    def _slack_point(self, within: "ConvexSet | None" = None) -> Vec | None:
+        """A point strictly inside every row of hrep(), and in within when
+        given, or None. The interior of {a.x <= b} over nonzero rows a is
+        {a.x < b}, so the raw rows serve: one LP inflates a slack t <= 1
+        by a.x + t*|a|_1 <= b inside the rows of within, and a positive
+        best t gives the point. An equality row leaves no interior."""
         h = self.hrep()
         if h.eqs:
             return None
-        rows = []
-        for a, b in h.ineqs:
-            rows.append((tuple(a) + (l1_norm(a),), b))
-        rows.append((zero_vec(self.dim) + (Fraction(1),), Fraction(1)))
-        obj = zero_vec(self.dim) + (Fraction(-1),)
-        out = solve_lp(make_program(obj, ineqs=rows))
-        if isinstance(out, LpOptimal) and -out.value > 0:
-            return out.point[: self.dim]
+        n = self.dim
+        outer = within.hrep() if within is not None else HRep(n, (), ())
+        ineqs = [(a + (ZERO,), b) for a, b in outer.ineqs]
+        ineqs += [(a + (l1_norm(a),), b) for a, b in h.ineqs]
+        ineqs.append((zero_vec(n) + (ONE,), ONE))
+        eqs = [(a + (ZERO,), b) for a, b in outer.eqs]
+        out = solve_lp(make_program(zero_vec(n) + (-ONE,), ineqs=ineqs, eqs=eqs))
+        if isinstance(out, LpOptimal) and out.value < 0:
+            return out.point[:n]
         return None
 
     def active_rows(self, x) -> tuple[Vec, ...]:
@@ -457,15 +472,12 @@ def check_facets(v: VRep, h: HRep) -> None:
 
 
 def _generator_membership(vertices, rays, x: Vec) -> bool:
+    """(x, 1) is a nonnegative combination of the vertices (p, 1) and
+    the rays (r, 0): the vertex weights sum to one."""
     if not vertices:
         return False
-    k, m = len(vertices), len(rays)
-    dim = len(x)
-    eqs = []
-    for j in range(dim):
-        eqs.append(([p[j] for p in vertices] + [r[j] for r in rays], x[j]))
-    eqs.append(([1] * k + [0] * m, 1))
-    lp = make_program([0] * (k + m), eqs=eqs, signs=[NONNEG] * (k + m))
+    columns = [p + (ONE,) for p in vertices] + [r + (ZERO,) for r in rays]
+    lp = combination_program(columns, x + (ONE,), [NONNEG] * len(columns))
     return isinstance(solve_lp(lp), LpOptimal)
 
 

@@ -17,7 +17,6 @@ from multiprocessing import Pool
 
 from .calculus import (
     KIND_ORDER,
-    common_point,
     core_at_zero,
     difference_interiority,
     inf_convolution_support,
@@ -263,7 +262,7 @@ def _check_pair(task, rec: _Record) -> None:
         sweep = "support-infconv-identity"
         probes = standard_probes(dim)
         joint = s1.intersect(s2)
-        nonempty = anchor is not None or common_point(s1, s2) is not None
+        nonempty = anchor is not None or not joint.is_empty()
         hypotheses = nonempty and (s1.is_bounded() or s2.is_bounded()) and radius is not None
         if hypotheses:
             rec.count(sweep, "hypothesis-pairs")

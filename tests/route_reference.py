@@ -1,0 +1,51 @@
+"""Former routes of three decisions, kept as independent cross-checks.
+
+meets_interior now inflates a slack over the raw rows of the second set
+(ConvexSet._slack_point); reference_meets_interior is the program it
+replaced, over the canonical rows, whose equalities say at once that
+the set is flat. Generator membership now goes through
+lp.combination_program; reference_generator_program is the program it
+replaced, built by hand with its "weights sum to one" row.
+common_point now reads the intersection's prepared system;
+reference_common_point is the cold solve it replaced.
+"""
+from polyexact.errors import InternalError
+from polyexact.linalg import ONE, ZERO, l1_norm, zero_vec
+from polyexact.lp import NONNEG, LpInfeasible, LpOptimal, make_program, solve_lp
+
+
+def reference_meets_interior(s1, s2) -> bool:
+    """Whether some point of s1 is interior to s2, by one slack program
+    over the canonical rows of s2 inside the rows of s1."""
+    ch = s2.canonical_hrep()
+    if ch.eqs:
+        return False
+    h1 = s1.hrep()
+    n = s1.dim
+    ineqs = [(a + (ZERO,), b) for a, b in h1.ineqs]
+    ineqs += [(a + (l1_norm(a),), b) for a, b in ch.ineqs]
+    ineqs.append((zero_vec(n) + (ONE,), ONE))
+    eqs = [(a + (ZERO,), b) for a, b in h1.eqs]
+    out = solve_lp(make_program(zero_vec(n) + (-ONE,), ineqs=ineqs, eqs=eqs))
+    if isinstance(out, LpOptimal):
+        return -out.value > 0
+    if isinstance(out, LpInfeasible):
+        return False
+    raise InternalError("slack capped at one cannot be unbounded")
+
+
+def reference_generator_program(vertices, rays, x):
+    """x = sum of weights times the vertices and rays, with the vertex
+    weights summing to one, all weights nonnegative."""
+    k, m = len(vertices), len(rays)
+    eqs = [([p[j] for p in vertices] + [r[j] for r in rays], x[j]) for j in range(len(x))]
+    eqs.append(([1] * k + [0] * m, 1))
+    return make_program([0] * (k + m), eqs=eqs, signs=[NONNEG] * (k + m))
+
+
+def reference_common_point(s1, s2):
+    """A point of the intersection by one cold solve of its rows, or
+    None when it is empty."""
+    h = s1.intersect(s2).hrep()
+    out = solve_lp(make_program(zero_vec(h.dim), ineqs=h.ineqs, eqs=h.eqs))
+    return out.point if isinstance(out, LpOptimal) else None

@@ -428,6 +428,19 @@ def test_infconv_bounded_pairs_follow_intersection():
     assert finite >= 3 and dropped >= 3
 
 
+def test_infconv_witnesses_attain_with_equality_rows():
+    """Each witness is read back from its own set's multipliers, those
+    of equality rows included, so the two supports add up to the value."""
+    segment = ConvexSet.from_hrep(2, ineqs=[((1, 0), 1), ((-1, 0), 0)], eqs=[((0, 1), 0)])
+    for s1, s2 in ((segment, box(0, 2, -1, 1)), (box(0, 2, -1, 1), segment)):
+        for g in ((1, 1), (1, -1), (2, -1)):
+            out = inf_convolution_support(s1, s2, g)
+            assert out.kind == "finite"
+            assert support_value(s1, out.witness1).value + support_value(s2, out.witness2).value \
+                == out.value
+            assert vadd(out.witness1, out.witness2) == vec(g)
+
+
 def test_infconv_scaling():
     s1, s2 = unit_square(), box(1, 2, 0, 1)
     g = vec((F(1, 2), F(1)))

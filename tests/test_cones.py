@@ -157,6 +157,9 @@ def test_decompose_matches_sum_membership():
             assert tuple(u + v for u, v in zip(ya, yb)) == vec(x)
         else:
             assert split is None
+    for x in [(1,), (1, 0, 0)]:
+        with pytest.raises(InputError):
+            cone_sum_decompose(a, b, x)
 
 
 def test_opposite_direction_witness():

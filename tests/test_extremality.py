@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from polyexact import extremality
 from polyexact.calculus import support_value
+from polyexact.cones import normal_cone
 from polyexact.errors import InputError, InternalError, PreconditionError
 from polyexact.extremality import (
     EPSILON_GRID,
@@ -19,7 +20,7 @@ from polyexact.extremality import (
     support_point_near,
     verify_approx_ep,
 )
-from polyexact.linalg import dot, l1_norm, linf_norm, vec, vneg, vscale, zero_vec
+from polyexact.linalg import dot, l1_norm, linf_norm, vec, vneg, vscale, vsub, zero_vec
 from polyexact.oracle import (
     grid_cell,
     grid_interior_verdict,
@@ -231,6 +232,21 @@ def test_approx_ep_all_conditions_random():
             assert l1_norm(cert.xstar1) == 1
             verified += 1
     assert verified > 0
+
+
+def test_gap_minimum_parts_lie_in_the_normal_cones():
+    """The stationarity parts n1 and n2 read back from the multipliers of
+    each block's rows, equality rows included, are normal to their sets
+    at the minimizers and lie within epsilon of -s and s."""
+    segment = ConvexSet.from_hrep(2, ineqs=[((1, 0), 1), ((-1, 0), 0)], eqs=[((0, 1), 0)])
+    pairs = [(segment, box(0, 1, -1, 0), (F(1, 2), 0)), (box(1, 2, -1, 0), segment, (1, 0))]
+    pairs += [(b, a, x) for a, b, x in pairs]
+    for s1, s2, x in pairs:
+        a = extremality._verified_perturbation(
+            s1, s2, extremality._evidence(s1, s2)[1], F(1, 100))
+        x1, x2, s, n1, n2 = extremality._penalized_gap_minimum(s1, s2, x, a, F(1, 10))
+        assert normal_cone(s1, x1).contains(n1) and normal_cone(s2, x2).contains(n2)
+        assert l1_norm(vsub(vneg(s), n1)) <= F(1, 10) and l1_norm(vsub(s, n2)) <= F(1, 10)
 
 
 def test_approx_ep_preconditions():

@@ -11,6 +11,7 @@ certificate: the very outcome a cold two-phase solve gives.
 """
 from dataclasses import fields, replace
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from polyexact import lp as lp_module
 from polyexact.calculus import difference_interiority, standard_probes
 from polyexact.cones import normal_cone
 from polyexact.errors import CapacityError, InputError, InternalError, PreconditionError
-from polyexact.linalg import lcm_all, vneg, zero_vec
+from polyexact.linalg import vneg, zero_vec
 from polyexact.lp import (
     FREE,
     NONNEG,
@@ -350,7 +351,7 @@ class _ReferenceTableau:
                 a, b = lp.ineq_lhs[r], lp.ineq_rhs[r]
             else:
                 a, b = lp.eq_lhs[r - self.m1], lp.eq_rhs[r - self.m1]
-            scale = lcm_all([x.denominator for x in a] + [b.denominator])
+            scale = lcm(*(x.denominator for x in a), b.denominator)
             ai = [int(x * scale) for x in a]
             bi = int(b * scale)
             t = F(scale)
@@ -367,7 +368,7 @@ class _ReferenceTableau:
             row[-1] = bi
             self.rows.append(row)
             self.rowscale.append(t)
-        self.obj_scale = lcm_all([x.denominator for x in lp.objective] or [1])
+        self.obj_scale = lcm(*(x.denominator for x in lp.objective))
         cint = [int(x * self.obj_scale) for x in lp.objective]
         self.obj2 = [0] * (self.ncols + 1)
         for k, (j, sg) in enumerate(self.tcols):
@@ -610,7 +611,7 @@ def _per_row_start(lp):
     m = m1 + len(lp.eq_lhs)
     rows, rowscale, slack_sign = [], [], []
     for r, (a, b) in enumerate(zip(lp.ineq_lhs + lp.eq_lhs, lp.ineq_rhs + lp.eq_rhs)):
-        scale = lcm_all([x.denominator for x in a] + [b.denominator])
+        scale = lcm(*(x.denominator for x in a), b.denominator)
         sign = -1 if b < 0 else 1
         row = [0] * (n + m + 1)
         for j, (x, s) in enumerate(zip(a, lp.var_signs)):

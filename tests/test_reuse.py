@@ -154,20 +154,24 @@ def test_slice_counts_are_pinned(monkeypatch):
     were 145 reaches on 28 systems while the unit window of each
     interior pair was solved again instead of checked.
 
-    Every certificate is checked: 2,092 checks, 1,857 of them in the
+    Every certificate is checked: 1,917 checks, 1,682 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
     them. They were 2,313 and 2,078 while the window, the segment reach
-    and the points outside cones were solved. There are 214 double
-    descriptions. They were 189 while cone_rows ran again the polar DD
-    that make_cone had run, and 162 while canonical_hrep solved LPs
-    instead (2,530 checks in the solver)."""
+    and the points outside cones were solved, and 2,092 and 1,857 while
+    each support value was solved again on every request (750 support
+    phase twos, now 546; a bounded check, kept per set, adds 26). There
+    are 180 double descriptions. They were 214 while meets_interior
+    canonicalized the second set of each pair (17 canonical forms, two
+    DDs each), 189 while cone_rows ran again the polar DD that make_cone
+    had run, and 162 while canonical_hrep solved LPs instead (2,530
+    checks in the solver)."""
     counts = Counts(monkeypatch)
     assert suite.run_suite(**SLICE).ok
     assert counts.minkowski == 18
     assert len(counts.reaches) == 105
     assert counts.make_cone == 91
     assert counts.memberships == 337
-    assert (counts.checks, counts.solver_checks) == (2092, 1857)
-    assert counts.dd == 214
+    assert (counts.checks, counts.solver_checks) == (1917, 1682)
+    assert counts.dd == 180
     pairs = [(id(a), id(b)) for a, b, _ in counts.systems]
     assert len(pairs) == len(set(pairs)) == 18

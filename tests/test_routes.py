@@ -1,0 +1,164 @@
+"""One production route per decision, checked against the route it
+replaced (route_reference): whether a set meets the interior of another,
+whether a set has interior points none of which lies in another, a
+common point of two sets, and the program of generator membership.
+
+The corpus is the pairs of a small default-shaped suite run, in both
+orders, which includes the fixture pairs, together with a flat second
+set described only by inequalities, empty second sets and disjoint
+pairs. A property adds row permutations and redundant rows."""
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyexact import sets as sets_module
+from polyexact import suite
+from polyexact.calculus import common_point, meets_interior
+from polyexact.extremality import check_sufficient_interiority
+from polyexact.linalg import unit_vec, vadd, vscale
+from polyexact.lp import LpOptimal, solve_lp
+from polyexact.oracle import random_pair_with_common_point
+from polyexact.sets import ConvexSet
+from route_reference import (
+    reference_common_point,
+    reference_generator_program,
+    reference_meets_interior,
+)
+
+SUITE = dict(dims=(2, 3, 4), seed_range=(1, 8), lp_count=10, boundary_count=20)
+
+
+def box(x0, x1, y0, y1):
+    return ConvexSet.from_hrep(2, ineqs=[
+        ((1, 0), x1), ((-1, 0), -x0), ((0, 1), y1), ((0, -1), -y0)])
+
+
+def _suite_pairs():
+    tasks = [t for t in suite.build_tasks(**SUITE) if t[0] in ("pair", "fixture")]
+    return [suite._task_instance(t)[1:3] for t in tasks]
+
+
+def _special_pairs():
+    square = box(0, 1, 0, 1)
+    return [
+        # flat: the segment [0, 1] x {0}, by inequalities alone
+        (square, box(0, 1, 0, 0)),
+        (box(F(1, 2), 3, -1, 1), box(0, 1, 0, 0)),
+        # flat by an equality row: a line through the square, and one past it
+        (ConvexSet.from_hrep(2, eqs=[((0, 1), F(1, 2))]), square),
+        (ConvexSet.from_hrep(2, eqs=[((0, 1), 2)]), square),
+        # empty, by rows and by generators
+        (square, ConvexSet.from_hrep(2, ineqs=[((1, 0), -1), ((-1, 0), -1)])),
+        (square, ConvexSet.from_vrep(2)),
+        # disjoint, and touching along an edge
+        (square, box(2, 3, 0, 1)),
+        (square, box(1, 2, 0, 1)),
+    ]
+
+
+def _disjoint_pairs(pairs):
+    """Each pair with its second set moved 9 units along the first axis,
+    beyond the suite's coordinates."""
+    return [(a, b.translate(vscale(9, unit_vec(a.dim, 0)))) for a, b in pairs]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    pairs = _suite_pairs()
+    out = pairs + _special_pairs() + _disjoint_pairs(pairs[::7])
+    return out + [(b, a) for a, b in out]
+
+
+def test_meets_interior_matches_canonical_reference(corpus):
+    answers = []
+    for s1, s2 in corpus:
+        got = meets_interior(s1, s2)
+        assert got == reference_meets_interior(s1, s2), (s1, s2)
+        answers.append(got)
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_sufficient_interiority_matches_former_route(corpus):
+    answers = []
+    for s1, s2 in corpus:
+        got = check_sufficient_interiority(s1, s2)
+        former = (not s1.is_empty() and not s1.canonical_hrep().eqs
+                  and not reference_meets_interior(s2, s1))
+        assert got == former, (s1, s2)
+        answers.append(got)
+    assert any(answers)
+
+
+def test_common_point_matches_cold_solve(corpus):
+    disjoint = 0
+    for s1, s2 in corpus:
+        got = common_point(s1, s2)
+        assert got == reference_common_point(s1, s2), (s1, s2)
+        if got is None:
+            disjoint += 1
+        else:
+            assert s1.contains(got) and s2.contains(got)
+    assert 0 < disjoint < len(corpus)
+
+
+def test_generator_membership_builds_the_former_program(corpus, monkeypatch):
+    programs = []
+
+    def recorded(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(sets_module, "solve_lp", recorded)
+    answers = []
+    for s, _ in corpus[:40]:
+        v = s.vrep()
+        if not v.vertices:
+            continue
+        outside = vadd(v.vertices[0], vscale(50, unit_vec(s.dim, 0)))
+        points = list(v.vertices) + [outside] + [vadd(v.vertices[0], r) for r in v.rays]
+        for x in points:
+            got = sets_module._generator_membership(v.vertices, v.rays, x)
+            want = reference_generator_program(v.vertices, v.rays, x)
+            assert programs[-1] == want
+            assert got == isinstance(solve_lp(want), LpOptimal)
+            answers.append(got)
+    assert 0 < sum(answers) < len(answers)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def interior_pairs(draw):
+    """(s1, rows of s2): a random pair in dim 2 or 3, its second set
+    shifted so the pair may overlap, touch or miss, and made flat half
+    the time by a row held with equality at one of its points."""
+    dim = draw(st.integers(2, 3))
+    s1, s2, anchor = random_pair_with_common_point(draw(st.integers(1, 60)), dim)
+    if draw(st.booleans()):
+        s1, s2 = s2, s1
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * dim))
+    s2 = s2.translate(shift)
+    rows = list(s2.hrep().ineqs)
+    if draw(st.booleans()):
+        a, _ = draw(st.sampled_from(rows))
+        c = sum(x * (y + t) for x, y, t in zip(a, anchor, shift))
+        rows += [(a, c), (tuple(-x for x in a), -c)]
+    return s1, rows
+
+
+@PROPERTY
+@given(interior_pairs(), st.data())
+def test_meets_interior_ignores_row_order_and_redundant_rows(pair, data):
+    s1, rows = pair
+    dim = s1.dim
+    want = reference_meets_interior(s1, ConvexSet.from_hrep(dim, rows))
+    assert meets_interior(s1, ConvexSet.from_hrep(dim, rows)) == want
+    shuffled = data.draw(st.permutations(rows))
+    (a1, b1), (a2, b2) = data.draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+    # a repeated row, a loosened one and the sum of two, all implied
+    shuffled += [(a1, b1), (a2, b2 + data.draw(st.integers(0, 2))),
+                 (tuple(x + y for x, y in zip(a1, a2)), b1 + b2)]
+    assert meets_interior(s1, ConvexSet.from_hrep(dim, shuffled)) == want
