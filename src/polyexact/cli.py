@@ -6,10 +6,15 @@ are human-readable by default; --json switches to the canonical
 machine-readable form. Exit status: 0 when the command ran and every
 assertion held, 1 when a verification failed or a documented
 precondition was violated, 2 for unusable input.
+
+The argument parser is built on the first call of `main` and shared by
+every later call in the process: parsing writes only to a fresh
+namespace, never to the parser, so one call cannot leak into the next.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -273,8 +278,10 @@ def cmd_plot(args) -> rp.Report:
                      f"{rp.human_rat(level)}")
     svg = render_scene(named_sets, points=points, cone_fans=fans,
                        separator=separator, half_width=args.viewport)
-    out = Path(args.out)
-    out.write_text(svg, encoding="utf-8")
+    try:
+        Path(args.out).write_text(svg, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"cannot write {args.out}: {e.strerror}") from e
     lines.insert(0, f"wrote {args.out} ({len(svg.encode('utf-8'))} bytes)")
     payload = {
         "out": args.out,
@@ -284,7 +291,13 @@ def cmd_plot(args) -> rp.Report:
     return rp.Report("plot", True, payload, lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call.
+
+    `parse_args` never changes it: it writes only to a fresh namespace,
+    no action appends, and every default is immutable.
+    """
     # the flags live on the root parser and again on every subcommand so
     # both positions work; SUPPRESS keeps the subcommand from clobbering
     # a value given before it

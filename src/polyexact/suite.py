@@ -68,6 +68,9 @@ DEFAULT_SEED_RANGE = (1, 85)
 DIM4_SEED_CAP = 30
 LP_SWEEP_COUNT = 1000
 BOUNDARY_POINT_COUNT = 100
+# worker processes a pool may start; a larger request is refused before
+# any pool exists
+MAX_WORKERS = 64
 GRID_HALF_WIDTH = Fraction(2)
 
 _LP_CHUNK = 100
@@ -415,17 +418,27 @@ def run_suite(dims=DEFAULT_DIMS, seed_range=DEFAULT_SEED_RANGE,
               boundary_count=BOUNDARY_POINT_COUNT) -> SuiteResult:
     """Run every sweep and aggregate per-sweep outcomes in a fixed order.
 
-    parallel > 1 distributes tasks over a process pool; results are
-    merged in task order either way, so the report does not depend on
-    scheduling.
+    parallel > 1 distributes tasks over a process pool of at most
+    MAX_WORKERS workers; results are merged in task order either way, so
+    the report does not depend on scheduling. Repeated dimensions and
+    negative counts are refused: they would count pairs twice or check
+    nothing.
     """
     dims = tuple(dims)
     for dim in dims:
         if dim not in (1, 2, 3, 4):
             raise InputError(f"unsupported dimension {dim}")
+    if len(set(dims)) < len(dims):
+        raise InputError(f"repeated dimension in {','.join(map(str, dims))}")
     lo, hi = seed_range
     if lo < 1 or hi < lo:
         raise InputError(f"bad seed range {lo}..{hi}")
+    if lp_count < 0:
+        raise InputError(f"bad lp count {lp_count}")
+    if boundary_count < 0:
+        raise InputError(f"bad boundary count {boundary_count}")
+    if parallel is not None and parallel > MAX_WORKERS:
+        raise InputError(f"{parallel} workers exceed the limit of {MAX_WORKERS}")
     tasks = build_tasks(dims, (lo, hi), lp_count, boundary_count)
     if parallel is not None and parallel > 1:
         with Pool(parallel) as pool:

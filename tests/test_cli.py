@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from polyexact.cli import main
+from polyexact import suite
+from polyexact.cli import build_parser, main
 
 THREE_D_DOC = """{
   "sets": {
@@ -198,8 +203,16 @@ def test_verify_suite_small_and_deterministic(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--dims", "5", "unsupported dimension 5"),
     ("--seed-range", "0..2", "bad seed range 0..2"),
+    ("--lp-count", "-3", "bad lp count -3"),
+    ("--boundary-count", "-1", "bad boundary count -1"),
+    ("--dims", "2,2", "repeated dimension in 2,2"),
+    ("--parallel", "100000", f"100000 workers exceed the limit of {suite.MAX_WORKERS}"),
 ])
-def test_verify_suite_bad_configuration_exits_2(capsys, flag, value, message):
+def test_verify_suite_bad_configuration_exits_2(capsys, monkeypatch, flag, value, message):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a pool was started for a refused configuration")
+
+    monkeypatch.setattr(suite, "Pool", no_pool)
     code, _, err = run(capsys, "verify-suite", flag, value)
     assert code == 2
     assert err == f"error: {message}\n"
@@ -217,6 +230,20 @@ def test_plot_writes_deterministic_svg(tmp_path, capsys):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert target.read_bytes() == first
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_plot_unwritable_out_exits_2(tmp_path, capsys, flags):
+    target = tmp_path / "missing" / "scene.svg"
+    code, out, err = run(capsys, *flags, "plot", "halfplanes", "lower", "upper",
+                         "--out", str(target))
+    assert code == 2
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+    if flags:
+        assert json.loads(out)["result"]["error"]["kind"] == "input"
+    else:
+        assert out == ""
 
 
 def test_plot_rejects_non_planar(tmp_path, capsys):
@@ -243,3 +270,59 @@ def test_verify_suite_report_matches_golden_bytes(capsys):
     code, out, _ = run(capsys, "--json", "verify-suite", "--dims", "2", "--seed-range", "1..3")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+# -- the shared parser ---------------------------------------------------------
+
+SUPPORT = ("support", "unit-square", "square", "diag")
+
+
+def test_parser_is_not_built_at_import():
+    code = ("import polyexact.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out == "0\n"
+
+
+def test_second_call_builds_no_parser(capsys, monkeypatch):
+    run(capsys, *SUPPORT)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, _ = run(capsys, "--json", *SUPPORT)
+    assert code == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("before", [
+    ("-v", "-v", *SUPPORT),
+    (*SUPPORT, "-v", "-v"),
+    ("--json", *SUPPORT),
+    (*SUPPORT, "--json"),
+], ids=["root-verbose", "sub-verbose", "root-json", "sub-json"])
+def test_flags_do_not_leak_into_the_next_call(capsys, before):
+    build_parser.cache_clear()
+    first = run(capsys, *SUPPORT)
+    assert "square: dim 2" not in first[1] and '"command"' not in first[1]
+    code, out, _ = run(capsys, *before)
+    assert code == 0 and out != first[1]
+    assert run(capsys, *SUPPORT) == first
+
+
+def test_parse_failure_does_not_leak_into_the_next_call(capsys):
+    build_parser.cache_clear()
+    argv = ("check-extremal", "halfplanes", "lower", "upper")
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--epsilon", "x"])
+    assert info.value.code == 2
+    assert "--epsilon" in capsys.readouterr().err
+    assert run(capsys, *argv) == first

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from polyexact import suite
+from polyexact.errors import InputError
 from polyexact.instances import fixture_names
 from polyexact.suite import (
     DIM4_SEED_CAP,
     FIXTURE_PAIRS,
+    MAX_WORKERS,
     SWEEP_NAMES,
     SweepOutcome,
     build_tasks,
@@ -77,6 +80,32 @@ def test_bad_configuration_rejected():
         run_suite(seed_range=(3, 1))
     with pytest.raises(ValueError):
         run_suite(seed_range=(0, 4))
+    for config in (dict(dims=(2, 3, 2)), dict(lp_count=-1), dict(boundary_count=-1)):
+        with pytest.raises(ValueError):
+            run_suite(seed_range=(1, 2), **config)
+
+
+def test_worker_cap_is_checked_before_any_pool(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def stub(processes):
+        raise Started(processes)
+
+    monkeypatch.setattr(suite, "Pool", stub)
+    config = dict(dims=(2,), seed_range=(1, 1))
+    with pytest.raises(InputError, match=f"{MAX_WORKERS + 1} workers exceed"):
+        run_suite(parallel=MAX_WORKERS + 1, **config)
+    with pytest.raises(Started) as info:
+        run_suite(parallel=MAX_WORKERS, **config)
+    assert info.value.args == (MAX_WORKERS,)
+
+
+def test_zero_counts_are_allowed():
+    result = run_suite(dims=(2,), seed_range=(1, 1), lp_count=0, boundary_count=0)
+    by_name = {s.name: s for s in result.sweeps}
+    assert by_name["lp-certification"].checked == 0
+    assert by_name["boundary-support-points"].checked == 0
 
 
 def test_outcome_flags_violations():
