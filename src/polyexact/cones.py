@@ -20,7 +20,6 @@ from .lp import FREE, NONNEG, LpOptimal, combination_program, solve_lp
 from .linalg import (
     Vec,
     combine,
-    dot,
     integerize,
     is_zero_vec,
     lead_normalized,
@@ -133,18 +132,22 @@ def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
     Zero vectors are dropped. One double description of the polar cone
     gives its rays P, and each generator g is judged by Z(g), the rays
     of P orthogonal to it, as in dd's adjacency test (Fukuda & Prodon
-    1996). g lies in the lineality space iff Z(g) is all of P. The rest
-    are reduced modulo that space, and a reduced generator is an extreme
-    ray iff no other one h has Z(g) within Z(h). The cone keeps the
-    polar's rays and lineality for contains and cone_rows. Vectors of
-    the wrong length raise InputError, and the DD caps raise
-    CapacityError.
+    1996), read off int dot products. g lies in the lineality space iff
+    Z(g) is all of P. The rest are reduced modulo that space, and a
+    reduced generator is an extreme ray iff no other one h has Z(g)
+    within Z(h). The cone keeps the polar's rays and lineality for
+    contains and cone_rows. Vectors of the wrong length raise
+    InputError, and the DD caps raise CapacityError.
     """
     gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
     lin = [vec(l) for l in lineality if not is_zero_vec(vec(l))]
     polar, polar_lin = dd.cone_from_inequalities(gens + lin + [vneg(l) for l in lin], dim)
     full = (1 << len(polar)) - 1
-    zero_sets = [sum(1 << k for k, p in enumerate(polar) if not dot(g, p)) for g in gens]
+    # the polar rays are primitive int tuples held as Fractions, and each
+    # generator is scaled by a positive factor, so every test is on ints
+    polar_ints = [tuple(x.numerator for x in p) for p in polar]
+    zero_sets = [sum(1 << k for k, p in enumerate(polar_ints) if not sum(map(mul, g, p)))
+                 for g in map(integerize, gens)]
     lin_rows, pivots = rref([list(l) for l in lin]
                             + [list(g) for g, z in zip(gens, zero_sets) if z == full])
     reduced = {}

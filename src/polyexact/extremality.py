@@ -152,11 +152,12 @@ def _interior_radius(d: ConvexSet) -> Fraction:
     origin inside d, assuming the origin is interior. Works on the raw
     rows: the bound b / l1(a) is valid for any description and does not
     need the canonical one, which is expensive for materialized
-    difference sets."""
-    h = d.hrep()
-    if h.eqs:
+    difference sets. It is read off the set's integer rows, where it is
+    B / l1(A) for the row scaled by a positive factor."""
+    rows = d.integer_rows()
+    if rows.eq:
         raise InternalError("interior point in a flat set")
-    radii = [b / l1_norm(a) for a, b in h.ineqs]
+    radii = [Fraction(b, sum(map(abs, a))) for a, b, _ in rows.ineq]
     r = min(radii) if radii else Fraction(1)
     if r <= 0:
         raise InternalError("nonpositive slack at a claimed interior point")

@@ -33,7 +33,8 @@ fraction-free (Bareiss) update, so arithmetic stays in plain ints and
 results are bit-for-bit deterministic. The tableau starts from the same
 integer form: its rows are the int rows s*a, s*b, negated where b < 0.
 Each solve builds that form once, for the tableau and the check alike:
-solve_lp per call, a PreparedSystem once for all its solves. Points,
+solve_lp per call, a PreparedSystem once for all its solves, or not at
+all when the ConvexSet whose rows it holds hands in its own. Points,
 rays and multipliers are summed as ints over the tableau's denominator,
 and each entry becomes one Fraction at the end.
 
@@ -528,7 +529,7 @@ class PreparedSystem:
     phase-one point against the rows once, so infeasible is None only
     with a verified witness. The integer form of the rows (integer_rows),
     which the tableau starts from and every check reads, is built once,
-    here.
+    here, or handed in by the caller that already holds it.
 
     solve_with_column(c, j, column) also fills in a column the prepared
     program leaves zero, so a family of programs that differ in one
@@ -538,9 +539,11 @@ class PreparedSystem:
     solve_lp finds, its optimal point may be another one.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, rows: IntegerRows | None = None):
+        """rows, when given, must be integer_rows(lp), built once by the
+        caller (a ConvexSet shares its own; see ConvexSet.integer_rows)."""
         self.lp = lp
-        self.rows = integer_rows(lp)
+        self.rows = integer_rows(lp) if rows is None else rows
         self._start = _phase_one(lp, self.rows)
         if (not isinstance(self._start, LpInfeasible)
                 and not _feasible(self.rows, lp.var_signs, self._start.point())):
@@ -636,8 +639,16 @@ def _integer_row(a: Vec, b: Fraction) -> tuple[tuple[int, ...], int, int]:
 
 def integer_rows(lp: LinearProgram) -> IntegerRows:
     """The integer form of lp's rows (see IntegerRows)."""
-    ineq = [_integer_row(a, b) for a, b in zip(lp.ineq_lhs, lp.ineq_rhs)]
-    eq = [_integer_row(a, b) for a, b in zip(lp.eq_lhs, lp.eq_rhs)]
+    return integer_form(zip(lp.ineq_lhs, lp.ineq_rhs), zip(lp.eq_lhs, lp.eq_rhs))
+
+
+def integer_form(ineqs, eqs) -> IntegerRows:
+    """The integer form (see IntegerRows) of rows given as (a, b) pairs
+    of Fractions, a.x <= b for ineqs and a.x = b for eqs. No cap is
+    applied: the rows of a set are cleared here for its point tests as
+    well as for its LPs, which make_program caps."""
+    ineq = [_integer_row(a, b) for a, b in ineqs]
+    eq = [_integer_row(a, b) for a, b in eqs]
     scale = lcm(*[s for _, _, s in ineq + eq])
     return IntegerRows(tuple((a, b, scale // s) for a, b, s in ineq),
                        tuple((a, b, scale // s) for a, b, s in eq), scale)
@@ -664,6 +675,14 @@ def _satisfies(rows: IntegerRows, signs, x: list[int], d: int) -> bool:
         if sum(map(mul, a, x)) != b * d:
             return False
     return _in_orthant(signs, x)
+
+
+def _slacks(rows: IntegerRows, x: list[int], d: int):
+    """B*d - A.x for each inequality row, lazily, in row order: x/d
+    meets the row strictly where this is positive and is tight on it
+    where it is zero. The sibling of _satisfies for strict and tight
+    rows; equality rows are the caller's to read."""
+    return (b * d - sum(map(mul, a, x)) for a, b, _ in rows.ineq)
 
 
 def _feasible(rows: IntegerRows, signs, x: Vec) -> bool:

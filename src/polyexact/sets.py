@@ -13,14 +13,23 @@ against the generators before use (check_facets). A set described by
 generators runs that double description once, for hrep() and the
 canonical rows alike.
 
+Point tests run in integers on rows cleared once per set: integer_rows()
+is the lp.IntegerRows of hrep(), and contains (on a set that holds
+rows), interior_contains, active_rows and the segment test of
+core_contains compare int dot products with the point, brought over one
+denominator, against the scaled right-hand sides (lp._satisfies and
+lp._slacks, the kernel of the LP certificate check). The set's prepared
+LP system reads the same rows. A set described only by generators
+answers contains with one LP and derives no rows for it.
+
 Sets are immutable, so what is derived from them is kept on them.
-cached() holds results of one set by key: the prepared LP system of the
-rows (simplex phase one, run once; see lp.PreparedSystem), the rows of
-the double description, the canonical forms, whether the set is
-bounded, the normal cone at each point asked and the support value of
-each functional asked. Emptiness is read off that phase one, and
-support values share it. cached_with() holds results of
-a pair for the set's last partner, compared by identity: the difference
+cached() holds results of one set by key: the integer rows, the
+prepared LP system of the rows (simplex phase one, run once; see
+lp.PreparedSystem), the rows of the double description, the canonical
+forms, whether the set is bounded, the normal cone at each point asked
+and the support value of each functional asked. Emptiness is read off
+that phase one, and support values share it. cached_with() holds results
+of a pair for the set's last partner, compared by identity: the difference
 set, the pair's prepared reach system and its reaches along the cube's
 corners and axes. Every question asked of one pair then shares one
 A - B, with its rows, canonical form and prepared LP system, runs phase
@@ -31,13 +40,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
 from operator import mul
 
 from . import dd
 from .errors import InputError, InternalError, PreconditionError
-from .lp import (NONNEG, LpOptimal, LpUnbounded, PreparedSystem, combination_program,
-                 make_program, solve_lp)
+from .lp import (NONNEG, IntegerRows, LpOptimal, LpUnbounded, PreparedSystem, _satisfies,
+                 _slacks, combination_program, integer_form, make_program, solve_lp)
 from .linalg import (
     ONE,
     ZERO,
@@ -49,6 +57,7 @@ from .linalg import (
     is_zero_vec,
     l1_norm,
     lead_normalized,
+    over_one_denominator,
     rref,
     reduce_mod_subspace,
     unit_vec,
@@ -189,11 +198,25 @@ class ConvexSet:
 
     def lp_system(self) -> PreparedSystem:
         """The rows of hrep() after simplex phase one; every LP over
-        exactly these rows solves through it."""
+        exactly these rows solves through it. Its integer rows are the
+        set's own (integer_rows), so they are cleared once for the LPs
+        and the point tests alike."""
         def build():
             h = self.hrep()
-            return PreparedSystem(make_program(zero_vec(self.dim), ineqs=h.ineqs, eqs=h.eqs))
+            return PreparedSystem(make_program(zero_vec(self.dim), ineqs=h.ineqs, eqs=h.eqs),
+                                  self._integer_rows(h))
         return self.cached("lp_system", build)
+
+    def integer_rows(self) -> IntegerRows:
+        """The rows of hrep() over the integers (lp.integer_form), built
+        once per set. Every point test reads them, and so do lp_system()
+        and its certificate checks. Unlike an LP they are not capped."""
+        return self._integer_rows(self.hrep())
+
+    def _integer_rows(self, h: HRep) -> IntegerRows:
+        """integer_rows() for a caller that already holds h, the set's
+        hrep(), or its raw rows, and so need not ask for them again."""
+        return self.cached("integer_rows", lambda: integer_form(h.ineqs, h.eqs))
 
     def cached(self, key, build):
         """build(), run once per key and kept on the set, for a result
@@ -224,23 +247,25 @@ class ConvexSet:
     # -- basic predicates ---------------------------------------------------
 
     def contains(self, x) -> bool:
+        """Membership. A set that holds rows reads them in integers
+        (integer_rows), the point over one denominator; a set described
+        only by generators solves one LP and derives no rows for it."""
         x = self._point(x)
         if self._hrep is not None:
-            h = self._hrep
-            return all(dot(a, x) <= b for a, b in h.ineqs) and all(
-                dot(a, x) == b for a, b in h.eqs)
+            return _satisfies(self._integer_rows(self._hrep), (), *over_one_denominator(x))
         v = self._vrep
         return _generator_membership(v.vertices, v.rays, x)
 
     def interior_contains(self, x) -> bool:
         """Topological interior. Correct on any row description: a set
         with implicit equalities leaves no point strictly inside every
-        row, and an explicit equality row empties the interior."""
+        row, and an explicit equality row empties the interior. Decided
+        on integer_rows(): every inequality row has a positive slack."""
         x = self._point(x)
-        h = self.hrep()
-        if h.eqs:
+        rows = self.integer_rows()
+        if rows.eq:
             return False
-        return all(dot(a, x) < b for a, b in h.ineqs)
+        return all(s > 0 for s in _slacks(rows, *over_one_denominator(x)))
 
     def core_contains(self, x) -> bool:
         """Algebraic interior, checked from its definition: the point
@@ -262,10 +287,14 @@ class ConvexSet:
         """For x in the set: no t > 0 keeps x + t d inside. That holds
         exactly when some row stops d at x, an equality row with a.d != 0
         or an inequality row tight at x with a.d > 0, and that row is
-        the witness."""
-        h = self.hrep()
-        return (any(dot(a, d) for a, _ in h.eqs)
-                or any(dot(a, d) > 0 and dot(a, x) == b for a, b in h.ineqs))
+        the witness. Read off integer_rows(), d scaled by a positive
+        factor, which keeps the sign of each a.d."""
+        rows = self.integer_rows()
+        ds, _ = over_one_denominator(d)
+        if any(sum(map(mul, a, ds)) for a, _, _ in rows.eq):
+            return True
+        slacks = _slacks(rows, *over_one_denominator(x))
+        return any(not s and sum(map(mul, a, ds)) > 0 for s, (a, _, _) in zip(slacks, rows.ineq))
 
     def is_empty(self) -> bool:
         if self._vrep is not None:
@@ -322,12 +351,15 @@ class ConvexSet:
 
     def active_rows(self, x) -> tuple[Vec, ...]:
         """Normals of the raw inequality rows tight at x, plus both
-        orientations of every equality row."""
+        orientations of every equality row. Tightness is read off
+        integer_rows(); the normals returned are the rows' own."""
         x = self._point(x)
-        if not self.contains(x):
-            raise PreconditionError("point is not in the set")
         h = self.hrep()
-        out = [a for a, b in h.ineqs if dot(a, x) == b]
+        rows = self._integer_rows(h)
+        xs, q = over_one_denominator(x)
+        if not _satisfies(rows, (), xs, q):
+            raise PreconditionError("point is not in the set")
+        out = [a for (a, _), s in zip(h.ineqs, _slacks(rows, xs, q)) if not s]
         for a, b in h.eqs:
             out.append(a)
             out.append(vneg(a))

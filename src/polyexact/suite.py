@@ -38,7 +38,7 @@ from .extremality import (
 )
 from .instances import fixture_names, load_instance, parse_document, serialize_document
 from .linalg import dot, is_zero_vec, vadd, vec, vneg, zero_vec
-from .lp import solve_lp, verify_certificate
+from .lp import integer_rows, solve_lp, verify_certificate
 from .oracle import (
     Lcg,
     grid_cell,
@@ -71,6 +71,9 @@ BOUNDARY_POINT_COUNT = 100
 # worker processes a pool may start; a larger request is refused before
 # any pool exists
 MAX_WORKERS = 64
+# tasks one run may hold; a larger run is refused before its task list is
+# built (the default run has 221)
+MAX_TASKS = 100_000
 GRID_HALF_WIDTH = Fraction(2)
 
 _LP_CHUNK = 100
@@ -324,11 +327,14 @@ def _check_lp_range(task, rec: _Record) -> None:
             lp = random_lp(seed)
             outcome = solve_lp(lp)
             rec.count(sweep, "checked")
-            if not verify_certificate(lp, outcome):
+            # the mutations tamper with the outcome only, so one integer
+            # form of the program serves every check
+            rows = integer_rows(lp)
+            if not verify_certificate(lp, outcome, rows):
                 rec.fail(sweep, f"{label}: certificate rejected")
             for mutated in lp_mutations(lp, outcome):
                 rec.count(sweep, "mutations")
-                if verify_certificate(lp, mutated):
+                if verify_certificate(lp, mutated, rows):
                     rec.fail(sweep, f"{label}: corrupted certificate accepted")
         except Exception as exc:
             rec.fail(sweep, f"{label}: {type(exc).__name__}: {exc}")
@@ -398,14 +404,31 @@ def _chunks(kind: str, count: int, size: int):
     ]
 
 
+def _top_seed(dim: int, seed_range) -> int:
+    """The last seed swept in dim; dimension four is capped."""
+    lo, hi = seed_range
+    return min(hi, lo + DIM4_SEED_CAP - 1) if dim >= 4 else hi
+
+
+def task_count(dims=DEFAULT_DIMS, seed_range=DEFAULT_SEED_RANGE,
+               lp_count=LP_SWEEP_COUNT, boundary_count=BOUNDARY_POINT_COUNT) -> int:
+    """len(build_tasks(...)) for a valid configuration, by arithmetic,
+    without building a task."""
+    lo = seed_range[0]
+    pairs = sum(_top_seed(dim, seed_range) - lo + 1 for dim in dims)
+    # a range's length is arithmetic; it is the number of _chunks
+    chunks = (len(range(1, lp_count + 1, _LP_CHUNK))
+              + len(range(1, boundary_count + 1, _BOUNDARY_CHUNK)))
+    return pairs + len(FIXTURE_PAIRS) + chunks + 1
+
+
 def build_tasks(dims=DEFAULT_DIMS, seed_range=DEFAULT_SEED_RANGE,
                 lp_count=LP_SWEEP_COUNT,
                 boundary_count=BOUNDARY_POINT_COUNT) -> list:
-    lo, hi = seed_range
+    lo = seed_range[0]
     tasks = []
     for dim in dims:
-        top = min(hi, lo + DIM4_SEED_CAP - 1) if dim >= 4 else hi
-        tasks.extend(("pair", dim, seed) for seed in range(lo, top + 1))
+        tasks.extend(("pair", dim, seed) for seed in range(lo, _top_seed(dim, seed_range) + 1))
     tasks.extend(("fixture", name) for name in sorted(FIXTURE_PAIRS))
     tasks.extend(_chunks("lp", lp_count, _LP_CHUNK))
     tasks.extend(_chunks("boundary", boundary_count, _BOUNDARY_CHUNK))
@@ -422,7 +445,8 @@ def run_suite(dims=DEFAULT_DIMS, seed_range=DEFAULT_SEED_RANGE,
     MAX_WORKERS workers; results are merged in task order either way, so
     the report does not depend on scheduling. Repeated dimensions and
     negative counts are refused: they would count pairs twice or check
-    nothing.
+    nothing. So is a run of more than MAX_TASKS tasks, counted before its
+    task list is built.
     """
     dims = tuple(dims)
     for dim in dims:
@@ -439,6 +463,9 @@ def run_suite(dims=DEFAULT_DIMS, seed_range=DEFAULT_SEED_RANGE,
         raise InputError(f"bad boundary count {boundary_count}")
     if parallel is not None and parallel > MAX_WORKERS:
         raise InputError(f"{parallel} workers exceed the limit of {MAX_WORKERS}")
+    count = task_count(dims, (lo, hi), lp_count, boundary_count)
+    if count > MAX_TASKS:
+        raise InputError(f"{count} tasks exceed the limit of {MAX_TASKS}")
     tasks = build_tasks(dims, (lo, hi), lp_count, boundary_count)
     if parallel is not None and parallel > 1:
         with Pool(parallel) as pool:

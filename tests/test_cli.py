@@ -207,12 +207,19 @@ def test_verify_suite_small_and_deterministic(capsys):
     ("--boundary-count", "-1", "bad boundary count -1"),
     ("--dims", "2,2", "repeated dimension in 2,2"),
     ("--parallel", "100000", f"100000 workers exceed the limit of {suite.MAX_WORKERS}"),
+    ("--seed-range", "1..100000000",
+     f"200000051 tasks exceed the limit of {suite.MAX_TASKS}"),
+    ("--lp-count", "100000000", f"1000211 tasks exceed the limit of {suite.MAX_TASKS}"),
 ])
 def test_verify_suite_bad_configuration_exits_2(capsys, monkeypatch, flag, value, message):
     def no_pool(*args, **kwargs):
         pytest.fail("a pool was started for a refused configuration")
 
+    def no_tasks(*args, **kwargs):
+        pytest.fail("a task list was built for a refused configuration")
+
     monkeypatch.setattr(suite, "Pool", no_pool)
+    monkeypatch.setattr(suite, "build_tasks", no_tasks)
     code, _, err = run(capsys, "verify-suite", flag, value)
     assert code == 2
     assert err == f"error: {message}\n"

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyexact import calculus, dd, suite
+from polyexact import lp as lp_module
 from polyexact import sets as sets_module
 from polyexact.calculus import core_at_zero, difference_interiority, support_value
 from polyexact.errors import InputError, InternalError, PreconditionError
-from polyexact.extremality import is_extremal_system
+from polyexact.extremality import _interior_radius, is_extremal_system
 from polyexact.instances import fixture_names, load_instance
-from polyexact.linalg import integer_rank, rank, vec
+from polyexact.linalg import dot, integer_rank, rank, unit_vec, vec, vneg, zero_vec
 from polyexact.oracle import random_pair_with_common_point
 from polyexact.sets import (
     ConvexSet,
@@ -26,6 +27,13 @@ from polyexact.sets import (
     sets_equal,
 )
 from canonical_reference import reference_canonical_hrep
+from definition_oracles import (
+    active_rows_definition,
+    contains_definition,
+    interior_contains_definition,
+    interior_radius_definition,
+    segment_blocked_definition,
+)
 from reach_reference import reference_segment_reach
 
 
@@ -271,30 +279,51 @@ def test_segment_block_matches_the_lp_on_random_sets():
 
 def test_lazy_caches_are_built_once_under_threads(monkeypatch):
     """Four threads race on one fresh row-described set: every answer
-    agrees and the lock lets exactly one prepared system be built."""
-    built = []
+    agrees, and the lock lets exactly one prepared system and one integer
+    form of the rows be built. The prepared system reads that form, the
+    one the point tests read."""
+    built, cleared = [], []
 
     class CountingSystem(sets_module.PreparedSystem):
-        def __init__(self, lp):
+        def __init__(self, lp, rows=None):
             built.append(lp)
             time.sleep(0.02)  # widen the window a missing lock would leave open
-            super().__init__(lp)
+            super().__init__(lp, rows)
+
+    def counting_form(ineqs, eqs):
+        cleared.append(ineqs)
+        time.sleep(0.02)
+        return lp_module.integer_form(ineqs, eqs)
 
     def rows():
         # a redundant row and an implicit equality give canonical_hrep work
         return [((1, 0), 2), ((-1, 0), 2), ((0, 1), 1), ((0, -1), -1),
                 ((1, 1), 5), ((1, -1), 3)]
 
+    def questions(s, k):
+        def points():
+            return s.contains((1, 1)), s.interior_contains((0, 1)), s.active_rows((2, 1))
+
+        def lps():
+            return s.is_empty(), support_value(s, (1, 2)), s.canonical_hrep()
+
+        # half the threads start with the point tests, half with the LPs
+        if k % 2:
+            first = lps()
+            return points() + first
+        return points() + lps()
+
     expected = ConvexSet.from_hrep(2, ineqs=rows())
-    want = (expected.is_empty(), support_value(expected, (1, 2)), expected.canonical_hrep())
+    want = questions(expected, 0)
     monkeypatch.setattr(sets_module, "PreparedSystem", CountingSystem)
+    monkeypatch.setattr(sets_module, "integer_form", counting_form)
     s = ConvexSet.from_hrep(2, ineqs=rows())
     start = threading.Barrier(4)
     answers = [None] * 4
 
     def ask(k):
         start.wait()
-        answers[k] = (s.is_empty(), support_value(s, (1, 2)), s.canonical_hrep())
+        answers[k] = questions(s, k)
 
     threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()
@@ -308,7 +337,9 @@ def test_lazy_caches_are_built_once_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert answers == [want] * 4
-    assert len(built) == 1
+    assert len(built) == 1 and len(cleared) == 1
+    assert s.lp_system().rows is s.integer_rows()
+    assert s.integer_rows() == lp_module.integer_rows(built[0])
 
 
 def _square_and_triangle():
@@ -565,3 +596,106 @@ def test_integer_rank_matches_fraction_rank():
         assert integer_rank(rows) == want, rows
         ranks.add((want, min(len(rows), ncols)))
     assert any(r < full for r, full in ranks) and any(r == full > 0 for r, full in ranks)
+
+
+# -- point tests in integers against their Fraction definitions --------------
+
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+LARGE_Q = st.integers(10 ** 6, 10 ** 40)
+
+
+@st.composite
+def rows_around_a_point(draw):
+    """(dim, ineqs, eqs, x, d): rows with denominators and right-hand
+    sides of either sign, each tight at x, 1/q off it for a large q, or
+    free; x the origin or a rational point, then moved 1/q along an axis
+    half the time; d a signed axis or any rational direction."""
+    dim = draw(st.integers(1, 3))
+    x = draw(st.one_of(st.just(zero_vec(dim)), st.tuples(*[SMALL] * dim)))
+
+    def row():
+        a = draw(st.tuples(*[SMALL] * dim).filter(any))
+        kind = draw(st.sampled_from(("tight", "off", "free")))
+        if kind == "free":
+            return a, draw(SMALL)
+        off = draw(st.sampled_from((-1, 1))) * F(1, draw(LARGE_Q)) if kind == "off" else 0
+        return a, dot(vec(a), vec(x)) + off
+
+    ineqs = [row() for _ in range(draw(st.integers(0, 5)))]
+    eqs = [row() for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, dim - 1))
+        x = vec(x[:i]) + (x[i] + draw(st.sampled_from((-1, 1))) * F(1, draw(LARGE_Q)),) + vec(x[i + 1:])
+    axis = st.builds(unit_vec, st.just(dim), st.integers(0, dim - 1), st.sampled_from((1, -1)))
+    d = draw(st.one_of(axis, st.tuples(*[SMALL] * dim)))
+    return dim, ineqs, eqs, vec(x), vec(d)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the InternalError or PreconditionError it
+    raised."""
+    try:
+        return f(*args)
+    except (InternalError, PreconditionError) as exc:
+        return type(exc)
+
+
+def _assert_point_tests_match(s, x, d):
+    assert s.contains(x) == contains_definition(s, x)
+    assert s.interior_contains(x) == interior_contains_definition(s, x)
+    assert s._segment_blocked(x, d) == segment_blocked_definition(s, x, d)
+    assert _outcome(s.active_rows, x) == _outcome(active_rows_definition, s, x)
+    # x at the origin of the translate, so an interior x gives a radius
+    for t in (s, s.translate(vneg(x))):
+        assert _outcome(_interior_radius, t) == _outcome(interior_radius_definition, t)
+
+
+@PROPERTY
+@given(rows_around_a_point())
+def test_point_tests_match_their_fraction_definitions(case):
+    dim, ineqs, eqs, x, d = case
+    _assert_point_tests_match(ConvexSet.from_hrep(dim, ineqs, eqs), x, d)
+
+
+def test_point_tests_on_rows_with_denominators():
+    q = 10 ** 30
+    # x/2 + y/3 <= 5/6 is tight at (1, 1); -x/3 <= -1/7 asks x >= 3/7;
+    # the equality y/5 = 1/5 pins y = 1
+    rows = [((F(1, 2), F(1, 3)), F(5, 6)), ((F(-1, 3), 0), F(-1, 7))]
+    eq = [((0, F(1, 5)), F(1, 5))]
+    s = ConvexSet.from_hrep(2, rows)
+    flat = ConvexSet.from_hrep(2, rows, eq)
+    tight, inside, outside = (1, 1), (1 - F(1, q), 1), (1 + F(1, q), 1)
+    for t in (s, flat):
+        assert t.contains(tight) and t.contains(inside) and not t.contains(outside)
+    assert s.active_rows(tight) == ((F(1, 2), F(1, 3)),)
+    assert flat.active_rows(tight) == ((F(1, 2), F(1, 3)), (0, F(1, 5)), (0, F(-1, 5)))
+    assert not s.interior_contains(tight) and s.interior_contains(inside)
+    assert not flat.interior_contains(inside)
+    assert s._segment_blocked(tight, (0, 1)) and not s._segment_blocked(tight, (0, -1))
+    assert flat._segment_blocked(inside, (0, -1)) and not flat._segment_blocked(inside, (1, 0))
+    assert not ConvexSet.from_hrep(2, eqs=eq).contains((1, 1 - F(1, q)))
+    for t in (s, flat):
+        for x in (tight, inside, outside):
+            for d in ((1, 0), (0, 1), (0, -1), (F(-1, 3), F(1, 2))):
+                _assert_point_tests_match(t, vec(x), vec(d))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_point_tests_on_a_set_with_no_rows(dim):
+    space = ConvexSet.from_hrep(dim)
+    origin = zero_vec(dim)
+    assert space.contains(origin) and space.interior_contains(origin)
+    assert space.active_rows(origin) == ()
+    assert _interior_radius(space) == 1
+    assert not any(space._segment_blocked(origin, unit_vec(dim, i, sg))
+                   for i in range(dim) for sg in (1, -1))
+    _assert_point_tests_match(space, origin, unit_vec(dim, 0))
+
+
+def test_generator_membership_derives_no_rows():
+    s = ConvexSet.from_vrep(2, vertices=[(0, 0), (F(3, 2), 0), (0, F(2, 3))])
+    for x in ((F(1, 2), F(1, 3)), (1, F(2, 9)), (1, F(2, 9) + F(1, 10 ** 20)), (-1, 0)):
+        want = ConvexSet.from_vrep(2, s.vrep().vertices).hrep()
+        assert s.contains(x) == contains_definition(ConvexSet(hrep=want), x)
+    assert s._hrep is None and "integer_rows" not in s._memo

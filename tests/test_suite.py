@@ -8,11 +8,13 @@ from polyexact.instances import fixture_names
 from polyexact.suite import (
     DIM4_SEED_CAP,
     FIXTURE_PAIRS,
+    MAX_TASKS,
     MAX_WORKERS,
     SWEEP_NAMES,
     SweepOutcome,
     build_tasks,
     run_suite,
+    task_count,
 )
 
 SMALL = dict(dims=(2, 3), seed_range=(1, 6), lp_count=25, boundary_count=9)
@@ -99,6 +101,50 @@ def test_worker_cap_is_checked_before_any_pool(monkeypatch):
     with pytest.raises(Started) as info:
         run_suite(parallel=MAX_WORKERS, **config)
     assert info.value.args == (MAX_WORKERS,)
+
+
+@pytest.mark.parametrize("config", [
+    dict(),
+    dict(dims=(2,), seed_range=(1, 12), lp_count=90, boundary_count=9),
+    dict(dims=(4,), seed_range=(5, 7), lp_count=0, boundary_count=0),
+    dict(dims=(1, 2, 3, 4), seed_range=(3, 300), lp_count=101, boundary_count=26),
+    dict(dims=(3, 4), seed_range=(40, 40), lp_count=100, boundary_count=25),
+])
+def test_task_count_is_the_length_of_the_task_list(config):
+    assert task_count(**config) == len(build_tasks(**config))
+
+
+def test_default_run_is_inside_the_task_cap():
+    assert task_count() == 221 <= MAX_TASKS
+
+
+@pytest.mark.parametrize("config, count", [
+    (dict(seed_range=(1, 100_000_000)), 200_000_051),
+    (dict(lp_count=100_000_000), 1_000_211),
+    # one planar seed past the cap: the pairs, six fixtures and the roundtrip
+    (dict(dims=(2,), seed_range=(1, MAX_TASKS - 6), lp_count=0, boundary_count=0),
+     MAX_TASKS + 1),
+])
+def test_task_cap_is_checked_before_the_task_list(monkeypatch, config, count):
+    def no_tasks(*args, **kwargs):
+        pytest.fail("a task list was built for a refused run")
+
+    monkeypatch.setattr(suite, "build_tasks", no_tasks)
+    with pytest.raises(InputError, match=f"^{count} tasks exceed the limit of {MAX_TASKS}$"):
+        run_suite(**config)
+
+
+def test_a_run_at_the_task_cap_reaches_the_task_list(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def stub(*args):
+        raise Built(task_count(*args))
+
+    monkeypatch.setattr(suite, "build_tasks", stub)
+    with pytest.raises(Built) as info:
+        run_suite(dims=(2,), seed_range=(1, MAX_TASKS - 7), lp_count=0, boundary_count=0)
+    assert info.value.args == (MAX_TASKS,)
 
 
 def test_zero_counts_are_allowed():
