@@ -11,22 +11,26 @@ supports, with witnesses that attain the convolution exactly.
 
 Every verdict is an exact rational computation: interiority claims are
 certified by corner decompositions of a small cube, and both sides of
-each identity come from independently solved linear programs. A reach
-program runs over x1 and delta only, with x2 = x1 - delta * direction
-substituted into the rows of the second set, so programs for different
-directions differ only in delta's column. A pair has one reach system
-that runs phase one once, and each direction is one phase two with its
-certificate checked against the full program. The pair's system and its
-reaches are kept on the first set (see ConvexSet.cached_with). The
-windowed condition solves nothing more: each corner decomposition,
-shrunk toward the common point, is its windowed witness, and it is
-checked on the reach system's integer rows.
+each identity come from independently solved linear programs. How far
+the difference reaches along a direction d is min(1, 1/gamma(d)), where
+gamma is the gauge of A - B: the largest z.d over the polar, the z with
+sigma_A(z) + sigma_B(-z) <= 1 (Rockafellar 1970, sections 14-15). That
+is one LP over the multipliers of both sets' rows whose constraints do
+not depend on d, so a pair has one gauge program that runs phase one
+once, and each direction is one objective, solved by one phase two with
+its certificate checked. The maximizing pair is read off the verified
+duals, and a zero reach comes with a verified unbounded ray. The pair's
+program and its reaches are kept on the first set (see
+ConvexSet.cached_with). The windowed condition solves nothing more:
+each corner decomposition, shrunk toward the common point, is its
+windowed witness, and it is checked against the rows of both sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain
 from operator import mul
 
 from .cones import (
@@ -61,9 +65,7 @@ from .lp import (
     LpOptimal,
     LpUnbounded,
     PreparedSystem,
-    _satisfies,
     combination_program,
-    make_program,
     solve_lp,
 )
 from .oracle import Lcg
@@ -92,68 +94,90 @@ def common_point(s1: ConvexSet, s2: ConvexSet) -> Vec | None:
     return joint.lp_system().solve(zero_vec(s1.dim)).point
 
 
-class _ReachSystem(PreparedSystem):
-    """A pair's reach program after phase one (see _reach_system), with
-    the counts of its leading rows that belong to s1: first_ineqs of the
-    inequality rows and first_eqs of the equality rows. The rows of s2
-    follow them, and the cap row is the last inequality row."""
-
-    def __init__(self, lp, first_ineqs: int, first_eqs: int):
-        super().__init__(lp)
-        self.first_ineqs = first_ineqs
-        self.first_eqs = first_eqs
-
-
-def _reach_system(s1: ConvexSet, s2: ConvexSet) -> _ReachSystem:
-    """The reach program of a pair before its direction is known, after
-    phase one. Its variables are x1 and delta >= 0, with x2 = x1 -
-    delta * direction substituted into the rows of s2, so its rows say
-    x1 in s1, x1 - delta * direction in s2 and delta <= 1. Delta's
-    column is left zero, in the cap row too, so phase one finds a
-    common point of the pair and never brings delta in. Every direction
-    then takes one phase two (see _reach_along)."""
-    n = s1.dim
+def _pair_rows(s1: ConvexSet, s2: ConvexSet):
+    """(rows, signs): the rows (a, b) of s1's hrep() and then of s2's,
+    inequalities before equalities in each, and the sign of a multiplier
+    on each row, NONNEG on an inequality and FREE on an equality."""
     h1, h2 = s1.hrep(), s2.hrep()
-    ineqs = [(a + (ZERO,), b) for a, b in h1.ineqs + h2.ineqs]
-    ineqs.append((zero_vec(n + 1), ONE))
-    eqs = [(a + (ZERO,), b) for a, b in h1.eqs + h2.eqs]
-    lp = make_program(zero_vec(n + 1), ineqs=ineqs, eqs=eqs, signs=(FREE,) * n + (NONNEG,))
-    return _ReachSystem(lp, len(h1.ineqs), len(h1.eqs))
+    rows = h1.ineqs + h1.eqs + h2.ineqs + h2.eqs
+    signs = ([NONNEG] * len(h1.ineqs) + [FREE] * len(h1.eqs)
+             + [NONNEG] * len(h2.ineqs) + [FREE] * len(h2.eqs))
+    return rows, signs
 
 
-def _reach_along(system: _ReachSystem, direction: Vec):
-    """How far s1 - s2 reaches from the origin along an integral
-    direction: the largest delta in [0, 1] with delta * direction =
-    x1 - x2 for some x1 in s1, x2 in s2, together with one maximizing
-    pair, for the pair whose _reach_system this is. Delta's column is
-    -(a.direction) on each row a of s2 and 1 on the cap row, read off
-    the system's integer rows; x2 = x1 - delta * direction is derived.
-    When the sets are disjoint the origin is not in the difference, and
-    the reach is zero with no pair, certified by the system's own Farkas
-    outcome."""
-    if system.infeasible is not None:
+@dataclass(frozen=True)
+class _Gauge:
+    """A pair's gauge program after phase one (see _reach_system) and a
+    common point of the pair, both None when the sets are disjoint, and
+    the integer rows of the first set, whose multipliers lead. It holds
+    neither set."""
+
+    system: PreparedSystem | None
+    point: Vec | None
+    rows: IntegerRows
+
+
+def _reach_system(s1: ConvexSet, s2: ConvexSet) -> _Gauge:
+    """The gauge program of s1 - s2, whose constraints do not depend on
+    the direction. Its variables are one multiplier y_k per row
+    (a_k, b_k) of s1 and then of s2 (_pair_rows), and its rows say
+    sum_k y_k a_k = 0 and sum_k y_k b_k <= 1. By LP duality the sums
+    z = sum_{k in s1} y_k a_k over such y are exactly the z with
+    sigma_s1(z) + sigma_s2(-z) <= 1, the polar of the difference, so
+    the gauge of the difference along d is the largest z.d over them
+    (Rockafellar 1970, sections 14-15); every direction is one
+    objective (_reach_along).
+    With no row at all it has no variable, and the gauge is zero. s2 is
+    read only through its hrep(), which _pair_system derived."""
+    c = common_point(s1, s2)
+    if c is None:
+        return _Gauge(None, None, s1.integer_rows())
+    rows, signs = _pair_rows(s1, s2)
+    lp = combination_program([a for a, _ in rows], zero_vec(s1.dim), signs,
+                             ineqs=[([b for _, b in rows], ONE)])
+    return _Gauge(PreparedSystem(lp), c, s1.integer_rows())
+
+
+def _reach_along(gauge: _Gauge, direction: Vec):
+    """How far s1 - s2 reaches from the origin along a direction d: the
+    largest delta in [0, 1] with delta * d = x1 - x2 for some x1 in s1,
+    x2 in s2, together with one such pair, for the pair whose
+    _reach_system this is. The gauge gamma of the difference along d is
+    the largest sum_{k in s1} y_k (a_k.d) on the gauge program, each
+    a_k.d read off s1's integer rows, and delta = min(1, 1/gamma).
+
+    An unbounded program (gamma infinite) gives delta = 0 and the pair
+    (c, c) at the common point c. An optimal one gives the pair from
+    its verified duals, lambda on the cap row and z on the rows
+    sum_k y_k a_k = 0: d + z lies in lambda * s1 and z in lambda * s2
+    (the recession cones when lambda = 0), and lambda = gamma by the
+    certificate's value equation, so
+    x1 = delta (d + z) + (1 - delta lambda) c and
+    x2 = delta z + (1 - delta lambda) c. A disjoint pair has reach zero
+    with no pair: the origin is not in the difference."""
+    c = gauge.point
+    if c is None:
         return ZERO, None, None
-    if any(x.denominator != 1 for x in direction):
-        raise InputError("a reach direction must be integral")
-    d = [x.numerator for x in direction]
-    n = len(d)
-    rows = system.rows
-
-    def entries(part):
-        # a row (A, B, k) is s*(a, 0) with s = scale/k, so a.d = (A.d)*k/scale
-        return tuple(Fraction(-sum(map(mul, a, d)) * k, rows.scale) for a, _, k in part)
-
-    column = ((ZERO,) * system.first_ineqs + entries(rows.ineq[system.first_ineqs:-1]) + (ONE,)
-              + (ZERO,) * system.first_eqs + entries(rows.eq[system.first_eqs:]))
-    out = system.solve_with_column(zero_vec(n) + (-ONE,), n, column)
+    # a row (A, B, k) is s*(a, b) with s = scale/k, and d = D/q, so
+    # a.d = (A.D)*k/(scale*q)
+    ds, q = over_one_denominator(direction)
+    rows = gauge.rows
+    objective = [Fraction(-sum(map(mul, a, ds)) * k, rows.scale * q)
+                 for a, _, k in chain(rows.ineq, rows.eq)]
+    objective += [ZERO] * (gauge.system.lp.dim - len(objective))
+    out = gauge.system.solve(objective)
+    if isinstance(out, LpUnbounded):
+        return ZERO, c, c
     if not isinstance(out, LpOptimal):
-        raise InternalError("a reach from a common point capped at one must be optimal")
-    delta, x1 = -out.value, out.point[:n]
-    return delta, x1, vsub(x1, vscale(delta, direction))
+        raise InternalError("a gauge program is feasible at zero")
+    lam, z = out.dual_ineq[0], out.dual_eq
+    delta = ONE if lam <= 1 else 1 / lam
+    x2 = vadd(vscale(delta, z), vscale(1 - delta * lam, c))
+    return delta, vadd(x2, vscale(delta, direction)), x2
 
 
-def _pair_system(s1: ConvexSet, s2: ConvexSet) -> _ReachSystem:
-    """The pair's one reach system, kept on s1 for its last partner.
+def _pair_system(s1: ConvexSet, s2: ConvexSet) -> _Gauge:
+    """The pair's one gauge program, kept on s1 for its last partner.
     Both row descriptions are derived first, so the build, which runs
     under s1's lock, never waits on the lock of s2."""
     s1.hrep()
@@ -163,7 +187,7 @@ def _pair_system(s1: ConvexSet, s2: ConvexSet) -> _ReachSystem:
 
 def _pair_reach(s1: ConvexSet, s2: ConvexSet, direction: Vec):
     """_reach_along for the pair itself, solved once per direction on
-    the pair's one reach system; both are kept on s1 for its last
+    the pair's one gauge program; both are kept on s1 for its last
     partner."""
     system = _pair_system(s1, s2)
     return s1.cached_with(s2, ("reach", direction), partial(_reach_along, system, direction))
@@ -189,12 +213,11 @@ def difference_interiority(s1: ConvexSet, s2: ConvexSet) -> Fraction | None:
     """Certified sup-norm radius of a box around the origin inside
     s1 - s2, or None when the origin is not interior to the difference.
     The difference set is never materialized; each corner of the box is
-    reached by its own decomposition program. Those programs differ only
-    in delta's column, so the pair runs phase one once for all of them,
-    and each corner is one phase two whose certificate is checked
-    against the full program. Reaches are shared per pair: asking
-    again, or asking qualification_report about the same pair, solves
-    no corner program twice."""
+    reached along its own objective on the pair's gauge program, which
+    runs phase one once for all of them, and each corner is one phase
+    two whose certificate is checked. Reaches are shared per pair:
+    asking again, or asking qualification_report about the same pair,
+    solves no corner twice."""
     check_same_dim(s1, s2)
     corners = _corner_decompositions(s1, s2)
     if corners is None:
@@ -261,9 +284,8 @@ def qualification_report(s1: ConvexSet, s2: ConvexSet, xbar) -> QcReport:
     core = core_at_zero(s1, s2)
     radius = None
     if corners is not None:
-        system = _pair_system(s1, s2)
         for c, delta, a, b in corners:
-            _check_window_pair(system, x, c, delta, *_window_pair(x, a, b))
+            _check_window_pair(s1, s2, x, c, delta, *_window_pair(x, a, b))
         radius = ONE
     return QcReport(
         classical_interiority=classical,
@@ -284,20 +306,15 @@ def _window_pair(x: Vec, a: Vec, b: Vec) -> tuple[Fraction, Vec, Vec]:
     return t, vadd(x, vscale(t, vsub(a, x))), vadd(x, vscale(t, vsub(b, x)))
 
 
-def _check_window_pair(system: _ReachSystem, x: Vec, c: Vec, delta: Fraction,
+def _check_window_pair(s1: ConvexSet, s2: ConvexSet, x: Vec, c: Vec, delta: Fraction,
                        t: Fraction, a: Vec, b: Vec) -> None:
     """InternalError unless a is in s1, b is in s2 and in the unit window
-    around x, and a - b = t * delta * c with t * delta > 0, for the pair
-    whose reach system this is. Membership is decided on the system's
-    integer rows, each point over one denominator; delta's column is
-    zero in those rows, so a point of n entries is read in full."""
-    rows, m1, e1 = system.rows, system.first_ineqs, system.first_eqs
+    around x, and a - b = t * delta * c with t * delta > 0. Membership
+    is each set's contains, read in integers off its own rows, which
+    _pair_system derived."""
     reach = t * delta
     if not (reach > 0 and vsub(a, b) == vscale(reach, c) and linf_norm(vsub(b, x)) <= 1
-            and _satisfies(IntegerRows(rows.ineq[:m1], rows.eq[:e1], rows.scale), (),
-                           *over_one_denominator(a))
-            and _satisfies(IntegerRows(rows.ineq[m1:-1], rows.eq[e1:], rows.scale), (),
-                           *over_one_denominator(b))):
+            and s1.contains(a) and s2.contains(b)):
         raise InternalError("the unit window failed to certify an interior difference")
 
 
@@ -437,10 +454,7 @@ def inf_convolution_support(s1: ConvexSet, s2: ConvexSet, xstar) -> InfConvoluti
         raise InputError("functional dimension does not match the sets")
     if s1.is_empty() or s2.is_empty():
         raise PreconditionError("both sets must be nonempty")
-    h1, h2 = s1.hrep(), s2.hrep()
-    rows = h1.ineqs + h1.eqs + h2.ineqs + h2.eqs
-    signs = ([NONNEG] * len(h1.ineqs) + [FREE] * len(h1.eqs)
-             + [NONNEG] * len(h2.ineqs) + [FREE] * len(h2.eqs))
+    rows, signs = _pair_rows(s1, s2)
     if not rows:
         if is_zero_vec(g):
             zero = zero_vec(s1.dim)
@@ -452,6 +466,7 @@ def inf_convolution_support(s1: ConvexSet, s2: ConvexSet, xstar) -> InfConvoluti
         return InfConvolutionValue("plus-infinity", None, None, None)
     if isinstance(out, LpUnbounded):
         return InfConvolutionValue("minus-infinity", None, None, None)
+    h1 = s1.hrep()
     k1 = len(h1.ineqs) + len(h1.eqs)
     w1 = combine(out.point[:k1], normals[:k1], s1.dim)
     return InfConvolutionValue("finite", out.value, w1, vsub(g, w1))

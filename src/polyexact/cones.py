@@ -217,29 +217,15 @@ def cone_sum_decompose(a: PolyhedralCone, b: PolyhedralCone, x) -> tuple[Vec, Ve
 
 
 def normal_cone(s: ConvexSet, x) -> PolyhedralCone:
-    """Normal cone of the set at a point of it.
-
-    With a row description this is the cone of the active normals; with
-    generators it is the set of functionals maximized over the set at x,
-    computed by the double description method on the shifted generators.
-    Cones are cached on the set per point (see ConvexSet.cached), so
-    asking again at the same point canonicalizes nothing.
+    """Normal cone of the set at a point of it: the cone of the normals
+    of the rows active at x (ConvexSet.active_rows), which raises
+    PreconditionError for a point outside. A set described by
+    generators derives its rows once and keeps them. Cones are cached
+    on the set per point (see ConvexSet.cached), so asking again at the
+    same point canonicalizes nothing.
     """
     x = vec(x)
-    return s.cached(("normal_cone", x), lambda: _build_normal_cone(s, x))
-
-
-def _build_normal_cone(s: ConvexSet, x: Vec) -> PolyhedralCone:
-    if s._hrep is not None:
-        rows = s.active_rows(x)
-        return make_cone(s.dim, rows)
-    if not s.contains(x):
-        raise PreconditionError("point is not in the set")
-    v = s._vrep
-    rows = [vec(tuple(a - b for a, b in zip(p, x))) for p in v.vertices]
-    rows += [vec(r) for r in v.rays]
-    rays, lin = dd.cone_from_inequalities([r for r in rows if not is_zero_vec(r)], s.dim)
-    return make_cone(s.dim, rays, lin)
+    return s.cached(("normal_cone", x), lambda: make_cone(s.dim, s.active_rows(x)))
 
 
 def extremal_intersection_condition(n1: PolyhedralCone, n2: PolyhedralCone):

@@ -58,14 +58,6 @@ from the basis as den*c - sum_i c_B(i)*row_i, the same integers a cost
 row pivoted along from the start would hold, so a prepared solve returns
 the very outcome solve_lp gives. solve_lp runs both phases on one
 tableau without a copy.
-
-Programs that differ only in one column share phase one the same way:
-the prepared program has that column zero, so it never enters, and a
-copy gets the real column as M*(rowscale*coeffs), where M, read from
-the artificial block, is den times the inverse of the basis. A row
-phase one dropped as redundant that the new column meets comes back
-through one degenerate pivot. The outcome is verified against the full
-program.
 """
 from __future__ import annotations
 
@@ -77,7 +69,7 @@ from math import lcm
 from operator import mul
 from typing import Union
 
-from .errors import CapacityError, InputError, InternalError, PreconditionError
+from .errors import CapacityError, InputError, InternalError
 from .linalg import ZERO, Vec, frac, over_one_denominator, vec
 
 FREE = 0
@@ -142,9 +134,10 @@ def make_program(objective, ineqs=(), eqs=(), signs=None) -> LinearProgram:
     return LinearProgram(obj, tuple(ia), tuple(ib), tuple(ea), tuple(eb), sg)
 
 
-def combination_program(columns, target, signs, costs=None) -> LinearProgram:
+def combination_program(columns, target, signs, costs=None, ineqs=()) -> LinearProgram:
     """The program over one weight w_k per column whose rows say
-    sum_k w_k * columns[k] = target, one equality row per coordinate.
+    sum_k w_k * columns[k] = target, one equality row per coordinate,
+    and the inequality rows ineqs over the weights, default none.
     signs restricts each weight (NONNEG for a cone generator, FREE for a
     lineality vector or an equality multiplier) and costs, default
     zero, is minimized. An optimal point is the weights; linalg.combine
@@ -153,7 +146,8 @@ def combination_program(columns, target, signs, costs=None) -> LinearProgram:
     if any(len(col) != len(target) for col in columns):
         raise InputError(f"a column does not have the {len(target)} entries of the target")
     eqs = [([col[j] for col in columns], t) for j, t in enumerate(target)]
-    return make_program([0] * len(columns) if costs is None else costs, eqs=eqs, signs=signs)
+    return make_program([0] * len(columns) if costs is None else costs, ineqs=ineqs, eqs=eqs,
+                        signs=signs)
 
 
 def _check_literals(xs) -> None:
@@ -270,25 +264,6 @@ class _Tableau:
         self.basis = [self.nt + self.ns + r for r in range(self.m)]
         self.active = [True] * self.m
         self.den = 1
-
-    def put_column(self, j: int, start: list[int]) -> None:
-        """Give variable j, whose column is zero, the starting column
-        start (one int per row, in scaled-row units). Its entry in row i
-        becomes sum_r M[i][r]*start[r], where M = entry(i, art r) is the
-        artificial block: it started as the identity and holds den times
-        the inverse of the basis, so the column reads as if it had been
-        pivoted along from the start. A zero column never entered, so j
-        is nonbasic. A row dropped as redundant that the column meets is
-        redundant no more: j enters on it, a degenerate pivot since its
-        rhs is zero, and the row is active again."""
-        arts = [(self.nt + self.ns + r, v) for r, v in enumerate(start) if v]
-        for i, row in enumerate(self.rows):
-            row[j] = sum(self.entry(i, a) * v for a, v in arts)
-        pc = next(t for t, (k, _) in enumerate(self.tcols) if k == j)
-        for i in range(self.m):
-            if not self.active[i] and self.rows[i][j]:
-                self.active[i] = True
-                self._pivot(i, pc, None)
 
     def copy(self) -> "_Tableau":
         """A twin whose rows, basis and active rows can change
@@ -530,13 +505,6 @@ class PreparedSystem:
     with a verified witness. The integer form of the rows (integer_rows),
     which the tableau starts from and every check reads, is built once,
     here, or handed in by the caller that already holds it.
-
-    solve_with_column(c, j, column) also fills in a column the prepared
-    program leaves zero, so a family of programs that differ in one
-    column shares one phase one. The column is computed on the copy
-    from the artificial block (see _Tableau.put_column), and the outcome
-    is verified against the full program. Its optimal value is the one
-    solve_lp finds, its optimal point may be another one.
     """
 
     def __init__(self, lp: LinearProgram, rows: IntegerRows | None = None):
@@ -554,47 +522,14 @@ class PreparedSystem:
         """The verified Farkas outcome when the rows have no solution."""
         return self._start if isinstance(self._start, LpInfeasible) else None
 
-    def _objective(self, objective) -> Vec:
+    def solve(self, objective) -> LpOutcome:
         c = vec(objective)
         if len(c) != self.lp.dim:
             raise InputError(f"objective has {len(c)} coefficients, expected {self.lp.dim}")
         _check_literals(c)
-        return c
-
-    def solve(self, objective) -> LpOutcome:
-        c = self._objective(objective)
         if isinstance(self._start, LpInfeasible):
             return self._start
         return _phase_two(self._start.copy(), replace(self.lp, objective=c), self.rows)
-
-    def solve_with_column(self, objective, j: int, column) -> LpOutcome:
-        """Solve the program whose variable j has the coefficients column,
-        over the inequality rows and then the equality rows, where the
-        prepared program has zeros. Each coefficient times its row's
-        scale must be an integer, as it is for integer coefficients. A
-        column can make infeasible rows feasible, so an infeasible
-        system raises PreconditionError."""
-        c = self._objective(objective)
-        lp = self.lp
-        col = vec(column)
-        rows = lp.ineq_lhs + lp.eq_lhs
-        if not 0 <= j < lp.dim or len(col) != len(rows):
-            raise InputError("column does not fit the program")
-        _check_literals(col)
-        if any(a[j] for a in rows):
-            raise InputError(f"column {j} of the prepared program is not zero")
-        if isinstance(self._start, LpInfeasible):
-            raise PreconditionError("the prepared rows are infeasible")
-        sg = -1 if lp.var_signs[j] == NONPOS else 1
-        start = [sg * scale * x for scale, x in zip(self._start.rowscale, col)]
-        if any(v.denominator != 1 for v in start):
-            raise InputError("column is not integral under the row scales")
-        lhs = tuple(a[:j] + (x,) + a[j + 1:] for a, x in zip(rows, col))
-        m1 = len(lp.ineq_lhs)
-        full = replace(lp, objective=c, ineq_lhs=lhs[:m1], eq_lhs=lhs[m1:])
-        tab = self._start.copy()
-        tab.put_column(j, [v.numerator for v in start])
-        return _phase_two(tab, full, self.rows.with_column(j, col))
 
 
 def _check(lp: LinearProgram, outcome: LpOutcome, rows: IntegerRows) -> None:
@@ -617,20 +552,6 @@ class IntegerRows:
     ineq: tuple[tuple[tuple[int, ...], int, int], ...]
     eq: tuple[tuple[tuple[int, ...], int, int], ...]
     scale: int
-
-    def with_column(self, j: int, column: Vec) -> "IntegerRows":
-        """The rows with column j, zero here, set to column (over the
-        inequality rows, then the equality rows). Each entry times its
-        row's s must be an integer, so no row's s changes."""
-        m1 = len(self.ineq)
-        out = []
-        for r, ((a, b, k), x) in enumerate(zip(self.ineq + self.eq, column)):
-            v = x * (self.scale // k)
-            if v.denominator != 1:
-                raise InternalError(f"column entry {x} is not integral under row {r}'s scale")
-            out.append((a[:j] + (v.numerator,) + a[j + 1:], b, k))
-        return IntegerRows(tuple(out[:m1]), tuple(out[m1:]), self.scale)
-
 
 def _integer_row(a: Vec, b: Fraction) -> tuple[tuple[int, ...], int, int]:
     xs, s = over_one_denominator((*a, b))

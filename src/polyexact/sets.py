@@ -30,10 +30,11 @@ forms, whether the set is bounded, the normal cone at each point asked
 and the support value of each functional asked. Emptiness is read off
 that phase one, and support values share it. cached_with() holds results
 of a pair for the set's last partner, compared by identity: the difference
-set, the pair's prepared reach system and its reaches along the cube's
-corners and axes. Every question asked of one pair then shares one
-A - B, with its rows, canonical form and prepared LP system, runs phase
-one once for all reach programs and solves each of them once.
+set, the pair's prepared gauge program (see calculus._reach_system) and
+its reaches along the cube's corners and axes. Every question asked of
+one pair then shares one A - B, with its rows, canonical form and
+prepared LP system, runs phase one once for all reaches and solves
+each direction once.
 """
 from __future__ import annotations
 
@@ -302,7 +303,11 @@ class ConvexSet:
         return self.lp_system().infeasible is not None
 
     def is_bounded(self) -> bool:
-        """No recession direction; decided once per set."""
+        """No recession direction; decided once per set. A set with
+        generators has none when it has no rays. A nonempty set of rows
+        is bounded iff no coordinate runs off either way, that is iff
+        none of the objectives +e_i and -e_i is unbounded on its own
+        prepared system (lp_system, which is_empty already built)."""
         return self.cached("is_bounded", self._build_is_bounded)
 
     def _build_is_bounded(self) -> bool:
@@ -310,19 +315,9 @@ class ConvexSet:
             return True
         if self._vrep is not None:
             return not self._vrep.rays
-        h = self._hrep
-        recession = PreparedSystem(make_program(
-            zero_vec(self.dim),
-            ineqs=[(a, Fraction(0)) for a, b in h.ineqs],
-            eqs=[(a, Fraction(0)) for a, b in h.eqs]))
-        for i in range(self.dim):
-            for sign in (1, -1):
-                out = recession.solve(unit_vec(self.dim, i, -sign))
-                if isinstance(out, LpUnbounded):
-                    return False
-                if isinstance(out, LpOptimal) and out.value != 0:
-                    return False
-        return True
+        system = self.lp_system()
+        return not any(isinstance(system.solve(unit_vec(self.dim, i, sign)), LpUnbounded)
+                       for i in range(self.dim) for sign in (1, -1))
 
     def interior_point(self) -> Vec | None:
         """A point with positive row slack everywhere, or None when the

@@ -1,12 +1,19 @@
-"""Cone canonicalization and cone equality decided by membership LPs.
+"""Cone canonicalization and cone equality decided by membership LPs,
+and normal cones of generator-described sets from their generators.
 
 The library reads the lineality space and the extreme rays of a cone off
 one double description of its polar (cones.make_cone), and compares
 canonical cones field by field (cones.cones_equal). These are the LP
 routes each of them stands for, kept as an independent cross-check.
+The library builds every normal cone from the rows active at the point
+(cones.normal_cone); reference_normal_cone builds it from the
+generators alone, with no rows derived.
 """
-from polyexact.cones import PolyhedralCone
-from polyexact.linalg import is_zero_vec, lead_normalized, reduce_mod_subspace, rref, vec, vneg
+from polyexact import dd
+from polyexact.cones import PolyhedralCone, make_cone
+from polyexact.errors import PreconditionError
+from polyexact.linalg import (is_zero_vec, lead_normalized, reduce_mod_subspace, rref, vec, vneg,
+                              vsub)
 from polyexact.lp import NONNEG, LpOptimal, make_program, solve_lp
 
 
@@ -51,3 +58,16 @@ def reference_cones_equal(a: PolyhedralCone, b: PolyhedralCone) -> bool:
     return (all(reference_membership(b.generators, b.lineality, g) for g in a.sample_directions())
             and all(reference_membership(a.generators, a.lineality, g)
                     for g in b.sample_directions()))
+
+
+def reference_normal_cone(s, x) -> PolyhedralCone:
+    """The normal cone of a generator-described set at x: the
+    functionals maximized over the set at x, the polar of the cone of
+    the shifted vertices v - x and the rays, by one double description."""
+    x = vec(x)
+    if not s.contains(x):
+        raise PreconditionError("point is not in the set")
+    v = s.vrep()
+    rows = [vsub(p, x) for p in v.vertices] + list(v.rays)
+    rays, lin = dd.cone_from_inequalities([r for r in rows if not is_zero_vec(r)], s.dim)
+    return make_cone(s.dim, rays, lin)

@@ -1,7 +1,7 @@
 """Oracles that decide by definition, on canonical generators or on the
 rows themselves.
 
-The library answers these questions through LPs, reach systems, double
+The library answers these questions through LPs, gauge programs, double
 descriptions and integer rows. The tests check those answers against
 brute force over vertices and rays, and against Fraction sums row by
 row, kept apart from the library as independent cross-checks.

@@ -1,8 +1,9 @@
 """Reach programs built whole and solved cold.
 
-The library solves all reach programs of a pair through one prepared
-system over (x1, delta) (calculus._reach_system). reach_program is the
-program each of them stands for, over (x1, x2, delta), kept as an
+The library reaches every direction of a pair by one objective on the
+prepared gauge program of the difference set (calculus._reach_system),
+an LP over the multipliers of both sets' rows. reach_program is the
+primal program each reach stands for, over (x1, x2, delta), kept as an
 independent cross-check of that route. The library tells whether a
 segment inside one set is blocked off its rows (ConvexSet._segment_blocked);
 reference_segment_reach is the one-variable LP it replaces, which reads

@@ -2,9 +2,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyexact import calculus
-from polyexact import lp as lp_module
 from polyexact.calculus import (
     InfConvolutionValue,
     QcReport,
@@ -94,7 +95,7 @@ def test_core_matches_materialized_core():
             assert core_at_zero(s1, s2) == d.core_contains(zero_vec(dim))
 
 
-# -- the prepared reach system ------------------------------------------------
+# -- the prepared gauge program -----------------------------------------------
 
 def _corners_and_axes(dim):
     corners = [tuple(F(1) if bits >> j & 1 else F(-1) for j in range(dim))
@@ -108,17 +109,24 @@ def _fixture_pairs():
         yield name, doc.get_set(first), doc.get_set(second)
 
 
+def _check_reach(s1, s2, system, d, label):
+    """The reach along d on system, the gauge program of (s1, s2), after
+    checking it against the cold reference program and checking its
+    pair; a disjoint pair reaches zero with no pair."""
+    delta, x1, x2 = calculus._reach_along(system, d)
+    if common_point(s1, s2) is None:
+        assert (delta, x1, x2) == (0, None, None), (label, d)
+    else:
+        assert delta == reference_reach(s1, s2, d)[0], (label, d)
+        assert s1.contains(x1) and s2.contains(x2), (label, d)
+        assert vsub(x1, x2) == vscale(delta, d), (label, d)
+    return delta
+
+
 def _assert_reaches_match_reference(s1, s2, label):
     system = calculus._reach_system(s1, s2)
-    disjoint = common_point(s1, s2) is None
     for d in _corners_and_axes(s1.dim):
-        delta, x1, x2 = calculus._reach_along(system, d)
-        assert delta == (0 if disjoint else reference_reach(s1, s2, d)[0]), (label, d)
-        if x1 is None:
-            assert delta == 0 and x2 is None
-        else:
-            assert s1.contains(x1) and s2.contains(x2), (label, d)
-            assert vsub(x1, x2) == vscale(delta, d), (label, d)
+        _check_reach(s1, s2, system, d, label)
 
 
 @pytest.mark.parametrize("dim, top", [(2, 12), (3, 12), (4, 6)])
@@ -134,35 +142,17 @@ def test_prepared_reach_matches_reference_on_fixture_pairs():
         _assert_reaches_match_reference(s2, s1, name)
 
 
-def _reactivations(monkeypatch):
-    """Rows that put_column makes active again, recorded per call."""
-    seen = []
-    put_column = lp_module._Tableau.put_column
-
-    def recorded(tab, j, start):
-        before = tab.active[:]
-        put_column(tab, j, start)
-        seen.append(sum(not a and b for a, b in zip(before, tab.active)))
-
-    monkeypatch.setattr(lp_module._Tableau, "put_column", recorded)
-    return seen
-
-
-def test_directions_leaving_the_affine_hull_reach_zero(monkeypatch):
-    # both pairs have A - B = the vertical axis: the prepared system
-    # drops a coupling row as redundant, and a direction with a nonzero
-    # first coordinate brings it back
+def test_directions_leaving_the_affine_hull_reach_zero():
+    # both pairs have A - B = the vertical axis, so a direction with a
+    # nonzero first coordinate leaves it
     axis = load_instance("halfplane-and-axis").get_set("axis")
-    seen = _reactivations(monkeypatch)
     for s1, s2 in [(vertical_axis(), vertical_axis()), (axis, axis)]:
         system = calculus._reach_system(s1, s2)
-        assert not all(system._start.active)
         for d, want in [((1, 1), 0), ((-1, 0), 0), ((1, -1), 0), ((0, 1), 1), ((0, -1), 1)]:
             d = vec(d)
             delta, x1, x2 = calculus._reach_along(system, d)
             assert delta == want == reference_reach(s1, s2, d)[0]
             assert vsub(x1, x2) == vscale(delta, d)
-            assert seen[-1] == (1 if d[0] else 0)
         assert difference_interiority(s1, s2) is None
         assert not core_at_zero(s1, s2)
 
@@ -170,7 +160,7 @@ def test_directions_leaving_the_affine_hull_reach_zero(monkeypatch):
 def test_disjoint_pair_reaches_zero_with_no_pair():
     s1, s2 = unit_square(), box(F(3, 2), 2, 0, 1)
     system = calculus._reach_system(s1, s2)
-    assert system.infeasible is not None
+    assert system.point is None and system.system is None
     for d in _corners_and_axes(2):
         assert calculus._reach_along(system, d) == (0, None, None)
     # the difference [-2, -1/2] x [-1, 1] misses the origin, though a
@@ -180,10 +170,45 @@ def test_disjoint_pair_reaches_zero_with_no_pair():
     assert not core_at_zero(s1, s2)
 
 
-def test_non_integral_direction_is_rejected():
-    system = calculus._reach_system(unit_square(), unit_square())
-    with pytest.raises(InputError):
-        calculus._reach_along(system, vec((F(1, 2), 1)))
+def test_rational_direction_reaches_the_reference_value():
+    # the square minus the shifted box is [-3/2, 1/2] x [-1, 1]; along
+    # (2, -3/2) it ends on the edge x = 1/2, at delta = 1/4
+    s1, s2 = unit_square(), box(F(1, 2), F(3, 2), 0, 1)
+    d = vec((2, F(-3, 2)))
+    delta, x1, x2 = calculus._reach_along(calculus._reach_system(s1, s2), d)
+    assert delta == F(1, 4) == reference_reach(s1, s2, d)[0]
+    assert s1.contains(x1) and s2.contains(x2) and vsub(x1, x2) == vscale(delta, d)
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_prepared_reach_matches_reference_along_rational_directions(data):
+    """Random pairs in dims 2-4 in both orders, a pair with an equality
+    row, a disjoint pair and a pair with no rows, along rational
+    directions."""
+    kind = data.draw(st.sampled_from(["random", "equality", "disjoint", "no-rows"]))
+    if kind == "random":
+        dim = data.draw(st.integers(2, 4))
+        s1, s2, _ = random_pair_with_common_point(data.draw(st.integers(1, 40)), dim)
+        if data.draw(st.booleans()):
+            s1, s2 = s2, s1
+    elif kind == "equality":
+        dim = 2
+        s1, s2 = unit_square(), ConvexSet.from_hrep(2, ineqs=[((1, 0), 1)], eqs=[((1, 1), 1)])
+    elif kind == "disjoint":
+        dim = 2
+        s1, s2 = unit_square(), box(F(3, 2), 2, 0, 1)
+    else:
+        dim = data.draw(st.integers(1, 3))
+        s1 = s2 = ConvexSet.from_hrep(dim)
+    d = tuple(data.draw(_rational) for _ in range(dim))
+    assume(any(d))
+    delta = _check_reach(s1, s2, calculus._reach_system(s1, s2), vec(d), kind)
+    if kind == "no-rows":
+        assert delta == 1
 
 
 # -- qualification report -----------------------------------------------------
@@ -240,11 +265,11 @@ _ORIGIN = vec((0, 0))
 ], ids=["ray", "window", "first-set", "second-set", "second-set-left", "zero-reach"])
 def test_window_check_rejects_each_broken_condition(c, delta, t, a, b):
     # s1 = {y >= 0} and s2 = {x = 0}: each pair fails one condition only
-    system = calculus._reach_system(upper_halfplane(), vertical_axis())
+    s1, s2 = upper_halfplane(), vertical_axis()
     good = vec((1, 1)), vec((0, 0))
-    calculus._check_window_pair(system, _ORIGIN, vec((1, 1)), F(1), F(1), *good)
+    calculus._check_window_pair(s1, s2, _ORIGIN, vec((1, 1)), F(1), F(1), *good)
     with pytest.raises(InternalError, match="unit window"):
-        calculus._check_window_pair(system, _ORIGIN, vec(c), F(delta), F(t), vec(a), vec(b))
+        calculus._check_window_pair(s1, s2, _ORIGIN, vec(c), F(delta), F(t), vec(a), vec(b))
 
 
 def test_window_pairs_are_the_shrunk_corner_pairs():

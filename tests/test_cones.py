@@ -1,8 +1,8 @@
 """Cone canonicalization, algebra, and normal cones.
 
-Normal cones are computed two ways (active rows vs shifted generators)
-and both are cross-checked against the defining inequalities evaluated
-on raw generators. Canonical cones are cross-checked against the
+Normal cones are computed from the active rows and cross-checked against
+the shifted-generator route of cone_reference and against the defining
+inequalities evaluated on raw generators. Canonical cones are cross-checked against the
 membership-LP canonicalizer and equality of cone_reference.
 """
 import random
@@ -29,7 +29,7 @@ from polyexact.errors import CapacityError, InputError, InternalError, Precondit
 from polyexact.linalg import dot, rank, vec, vneg
 from polyexact.oracle import random_polytope
 from polyexact.sets import ConvexSet
-from cone_reference import reference_cones_equal, reference_make_cone
+from cone_reference import reference_cones_equal, reference_make_cone, reference_normal_cone
 from definition_oracles import definition_normal_cone_oracle, is_trivial
 
 
@@ -52,10 +52,21 @@ def test_square_normal_cones():
 
 
 def test_normal_cone_routes_agree():
-    pts = [(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), 0)]
-    h, v = unit_square("h"), unit_square("v")
-    for x in pts:
-        assert normal_cone(h, x) == normal_cone(v, x)
+    # production reads the rows a generator-described set derives, the
+    # reference reads its generators alone, each on a fresh copy
+    cases = [(lambda: unit_square("v"), [(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), 0)]),
+             (lambda: ConvexSet.from_vrep(2, vertices=[(3, 4)]), [(3, 4)])]
+    for seed in range(24):
+        v = random_polytope(seed, 1 + seed % 3).canonical_vrep()
+        cases.append((lambda v=v: ConvexSet.from_vrep(v.dim, v.vertices), v.vertices))
+    for fresh, pts in cases:
+        s = fresh()
+        for x in pts:
+            want = reference_normal_cone(fresh(), x)
+            assert normal_cone(s, x) == want, x
+    h = unit_square("h")
+    for x in cases[0][1]:
+        assert normal_cone(h, x) == reference_normal_cone(unit_square("v"), x)
 
 
 def test_normal_cone_of_single_point_is_everything():

@@ -21,7 +21,7 @@ from polyexact import cones
 from polyexact import lp as lp_module
 from polyexact.calculus import difference_interiority, standard_probes
 from polyexact.cones import normal_cone
-from polyexact.errors import CapacityError, InputError, InternalError, PreconditionError
+from polyexact.errors import CapacityError, InputError, InternalError
 from polyexact.linalg import vneg, zero_vec
 from polyexact.lp import (
     FREE,
@@ -31,7 +31,6 @@ from polyexact.lp import (
     LpOptimal,
     LpUnbounded,
     PreparedSystem,
-    integer_rows,
     make_program,
     solve_lp,
     verify_certificate,
@@ -173,18 +172,14 @@ def test_literal_cap():
 
 
 def test_literal_cap_on_prepared_objectives_and_columns():
-    # the objectives and columns a prepared system takes meet the same cap
+    # the objectives a prepared system takes meet the same cap
     widest = 10 ** lp_module.MAX_LITERAL_DIGITS - 1
     system = PreparedSystem(make_program([0, 0], ineqs=[((1, 0), 1)], signs=[FREE, NONNEG]))
     assert isinstance(system.solve([-widest, 0]), LpOptimal)
-    assert isinstance(system.solve_with_column([F(-1, widest), -1], 1, (widest,)), LpOptimal)
+    assert isinstance(system.solve([F(-1, widest), 0]), LpOptimal)
     for wide in (widest + 1, -widest - 1, F(1, widest + 1)):
         with pytest.raises(CapacityError):
             system.solve([wide, 0])
-        with pytest.raises(CapacityError):
-            system.solve_with_column([wide, -1], 1, (1,))
-        with pytest.raises(CapacityError):
-            system.solve_with_column([0, -1], 1, (wide,))
 
 
 def test_solver_is_deterministic():
@@ -648,78 +643,21 @@ def test_dependent_equalities_leave_inactive_rows():
     assert not any(all(tab.active) for tab in feasible)
 
 
-def _with_column(lp, j, column):
-    def put(rows, values):
-        return tuple(a[:j] + (x,) + a[j + 1:] for a, x in zip(rows, values))
-    m1 = len(lp.ineq_lhs)
-    return replace(lp, ineq_lhs=put(lp.ineq_lhs, column[:m1]),
-                   eq_lhs=put(lp.eq_lhs, column[m1:]))
-
-
-def test_solve_with_column_matches_reference(monkeypatch):
-    # each column is made integral (its numerators), zeroed for phase
-    # one and filled in by solve_with_column; the dependent equalities
-    # make some columns meet a row phase one dropped
-    statuses = set()
-    infeasible = 0
-    reactivated = []
-    put_column = lp_module._Tableau.put_column
-
-    def recorded(tab, j, start):
-        before = tab.active[:]
-        put_column(tab, j, start)
-        reactivated.append(before != tab.active)
-
-    monkeypatch.setattr(lp_module._Tableau, "put_column", recorded)
-    for seed in range(500):
-        for lp in (_signed_lp(seed), _with_dependent_equalities(_signed_lp(seed))):
-            for j in range(lp.dim):
-                column = tuple(F(a[j].numerator) for a in lp.ineq_lhs + lp.eq_lhs)
-                full = _with_column(lp, j, column)
-                blank = _with_column(lp, j, (F(0),) * len(column))
-                system = PreparedSystem(replace(blank, objective=zero_vec(lp.dim)))
-                if system.infeasible is not None:
-                    infeasible += 1
-                    with pytest.raises(PreconditionError):
-                        system.solve_with_column(lp.objective, j, column)
-                    continue
-                out = system.solve_with_column(lp.objective, j, column)
-                want = reference_solve(full)
-                assert out.status == want.status, (seed, j)
-                if want.status == "optimal":
-                    assert out.value == want.value, (seed, j)
-                # the check in the solver read the prepared rows with
-                # the column patched in
-                assert system.rows.with_column(j, column) == integer_rows(full)
-                assert _verdict(full, out)
-                statuses.add(out.status)
-    assert statuses == {"optimal", "unbounded"}
-    assert infeasible > 100 and sum(reactivated) > 20
-
-
-def test_solve_with_column_rejects_what_does_not_fit():
-    lp = make_program([0, 0], ineqs=[((1, 0), 1), ((2, 0), 3)], signs=[NONNEG, NONNEG])
-    system = PreparedSystem(lp)
-    with pytest.raises(InputError, match="not integral"):
-        system.solve_with_column([0, -1], 1, (F(1, 2), 1))
-    with pytest.raises(InputError, match="not zero"):
-        system.solve_with_column([0, -1], 0, (1, 1))
-    with pytest.raises(InputError):
-        system.solve_with_column([0, -1], 1, (1,))
-    with pytest.raises(InputError):
-        system.solve_with_column([0, -1], 2, (1, 1))
-    out = system.solve_with_column([0, -1], 1, (1, 1))
-    assert isinstance(out, LpOptimal) and out.value == -1
-
-
 def test_prepared_reach_pivots_are_pinned(monkeypatch):
-    """difference_interiority on dim-4 pairs, with one reach system per
-    pair: one tableau per pair. One cold program per corner took 32
-    tableaux and 1,441 pivots on pairs 1-2 (see above), and 96 and
-    3,236 on pairs 1-6. The reach program over (x1, x2, delta), with n
-    coupling equalities, took 171 pivots on pairs 1-2 and 484 on pairs
-    1-6; over (x1, delta) it takes 139 and 392."""
-    tableaux, pivots = [], []
+    """difference_interiority on dim-4 pairs, with one gauge program per
+    pair: two tableaux per pair, the gauge program's and the common
+    point's. One cold program per corner took 32 tableaux and 1,441
+    pivots on pairs 1-2 (see above), and 96 and 3,236 on pairs 1-6. The
+    reach program over (x1, x2, delta), with n coupling equalities, took
+    171 pivots on pairs 1-2 and 484 on pairs 1-6; over (x1, delta), one
+    tableau per pair with m1 + m2 + 1 rows, it took 139 and 392.
+
+    The gauge program has n + 1 rows, so it takes more pivots (258 and
+    475) that each rewrite fewer entries. The entries a pivot rewrites
+    are its tableau's other rows, the cost row included, times the
+    stored columns; summed, they pin the work: 90,208 and 141,647 over
+    (x1, delta), and 64,675 and 91,836 now."""
+    tableaux, pivots, entries = [], [], []
     init, pivot = lp_module._Tableau.__init__, lp_module._Tableau._pivot
 
     def counting_init(self, lp, *rows):
@@ -728,17 +666,19 @@ def test_prepared_reach_pivots_are_pinned(monkeypatch):
 
     def counting_pivot(self, pr, pc, obj):
         pivots.append((pr, pc))
+        entries.append((len(self.rows) - (obj is None)) * len(self.rows[pr]))
         pivot(self, pr, pc, obj)
 
     monkeypatch.setattr(lp_module._Tableau, "__init__", counting_init)
     monkeypatch.setattr(lp_module._Tableau, "_pivot", counting_pivot)
-    for top, want in ((2, (2, 139)), (6, (6, 392))):
+    for top, want in ((2, (4, 258, 64675)), (6, (12, 475, 91836))):
         pairs = [random_pair_with_common_point(seed, 4)[:2] for seed in range(1, top + 1)]
         tableaux.clear()
         pivots.clear()
+        entries.clear()
         for s1, s2 in pairs:
             difference_interiority(s1, s2)
-        assert (len(tableaux), len(pivots)) == want
+        assert (len(tableaux), len(pivots), sum(entries)) == want
 
 
 def test_set_systems_match_reference_on_probes_and_row_normals():
@@ -812,8 +752,6 @@ def test_prepared_system_integerizes_its_rows_once(monkeypatch):
     statuses = {system.solve(c).status
                 for c in [(1, 0, 0), (-1, 0, 0), (0, -1, 0), (F(-1, 3), 1, 0), (-1, -1, 0)]}
     assert statuses == {"optimal", "unbounded"}
-    out = system.solve_with_column((0, 0, -1), 2, (1, 0, 0))
-    assert isinstance(out, LpOptimal) and out.value == -1
     assert len(built) == 1
     # a one-shot solve builds it once, and a direct check builds it per call
     assert verify_certificate(lp, solve_lp(lp))

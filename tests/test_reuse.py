@@ -1,4 +1,4 @@
-"""Each pair's work is done once: the difference set, the reach system
+"""Each pair's work is done once: the difference set, the gauge program
 with its reaches and the normal cones are built once per suite task and
 shared by every question asked of the pair, and a cone answers each
 membership question once."""
@@ -25,7 +25,7 @@ def _rebind(monkeypatch, module, name, wrapper):
 
 
 class Counts:
-    """Counting wrappers on minkowski, the reach systems and the reaches
+    """Counting wrappers on minkowski, the gauge programs and the reaches
     along each direction, normal_cone, make_cone, the conic membership
     LPs, the double descriptions and the certificate checks, in the
     solver and in all. Arguments are kept alive, so object identities
@@ -127,7 +127,7 @@ def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
 
     # one A - B per task, shared by every question about the pair
     assert counts.minkowski == 1
-    # the task's own sets get one reach system, and no direction is
+    # the task's own sets get one gauge program, and no direction is
     # solved on it twice
     _, s1, s2, _ = instances[0]
     own = [system for a, b, system in counts.systems if a is s1 and b is s2]
@@ -150,13 +150,16 @@ def test_slice_counts_are_pinned(monkeypatch):
     874 while make_cone still canonicalized by membership LPs, 572 while
     intersection_rule held a left cone equal to a summand as a distinct
     object, and 515 while points outside were decided by LP too. The
-    reaches run on 18 reach systems, one per task's ordered pair; there
+    reaches run on 18 gauge programs, one per task's ordered pair; there
     were 145 reaches on 28 systems while the unit window of each
     interior pair was solved again instead of checked.
 
-    Every certificate is checked: 1,917 checks, 1,682 of them in the
+    Every certificate is checked: 1,934 checks, 1,699 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
-    them. They were 2,313 and 2,078 while the window, the segment reach
+    them. They were 1,917 and 1,682 while the reach program ran over
+    (x1, delta) and found its common point in its own phase one; the
+    gauge program takes one common-point solve, with its check, for
+    each of the 17 slice pairs that meet. They were 2,313 and 2,078 while the window, the segment reach
     and the points outside cones were solved, and 2,092 and 1,857 while
     each support value was solved again on every request (750 support
     phase twos, now 546; a bounded check, kept per set, adds 26). There
@@ -171,7 +174,7 @@ def test_slice_counts_are_pinned(monkeypatch):
     assert len(counts.reaches) == 105
     assert counts.make_cone == 91
     assert counts.memberships == 337
-    assert (counts.checks, counts.solver_checks) == (1917, 1682)
+    assert (counts.checks, counts.solver_checks) == (1934, 1699)
     assert counts.dd == 180
     pairs = [(id(a), id(b)) for a, b, _ in counts.systems]
     assert len(pairs) == len(set(pairs)) == 18

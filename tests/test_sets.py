@@ -95,6 +95,24 @@ def test_emptiness_and_boundedness():
     assert unit_square().is_bounded()
 
 
+_SMALL = st.integers(-3, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_is_bounded_matches_the_rays(data):
+    """is_bounded on a row-described set, read off its prepared system,
+    says what its generators say: bounded exactly when there is no ray.
+    Random rows in dims 1-3, few enough to leave many sets unbounded,
+    some with an equality row and some empty."""
+    dim = data.draw(st.integers(1, 3))
+    rows = st.tuples(st.tuples(*[_SMALL] * dim).filter(any), _SMALL)
+    ineqs = data.draw(st.lists(rows, max_size=2 * dim + 2))
+    eqs = data.draw(st.lists(rows, max_size=1))
+    bounded = ConvexSet.from_hrep(dim, ineqs, eqs).is_bounded()
+    assert bounded == (not ConvexSet.from_hrep(dim, ineqs, eqs).vrep().rays)
+
+
 def test_interior_point_has_positive_slack():
     s = ConvexSet.from_hrep(2, ineqs=[((1, 1), 1), ((-1, 0), 0), ((0, -1), 0)])
     p = s.interior_point()
@@ -369,7 +387,7 @@ def test_verdict_shares_the_difference():
 def test_pair_caches_are_built_once_under_threads(monkeypatch):
     """Four threads ask (s1, s2) and (s2, s1) of generator-described
     sets, whose rows must be derived first: no deadlock, every answer
-    equals the serial one, one A - B and one reach system per ordered
+    equals the serial one, one A - B and one gauge program per ordered
     pair, and no reach direction solved twice."""
     def answers(a, b):
         return (a.difference(b).canonical_hrep(), difference_interiority(a, b),
