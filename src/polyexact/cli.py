@@ -34,7 +34,7 @@ from .extremality import (
     separate,
     verify_approx_ep,
 )
-from .instances import InstanceDocument, load_instance, parse_vector
+from .instances import load_instance, parse_vector
 from .linalg import frac, vneg
 from .suite import (
     BOUNDARY_POINT_COUNT,
@@ -68,28 +68,19 @@ def _dims_arg(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _resolve_point(doc: InstanceDocument, text: str):
-    if text in doc.points:
-        return doc.get_point(text)
+def _resolve(table: dict, text: str, what: str):
+    """The vector named text in a document's table of points or of
+    functionals, what being "point" or "functional", or else text read
+    as a vector literal."""
+    if text in table:
+        return table[text]
     try:
         return parse_vector(text)
     except InputError:
-        known = ", ".join(sorted(doc.points)) or "none"
+        known = ", ".join(sorted(table)) or "none"
         raise InputError(
-            f"{text!r} is neither a named point nor a vector literal; "
-            f"named points: {known}")
-
-
-def _resolve_functional(doc: InstanceDocument, text: str):
-    if text in doc.functionals:
-        return doc.get_functional(text)
-    try:
-        return parse_vector(text)
-    except InputError:
-        known = ", ".join(sorted(doc.functionals)) or "none"
-        raise InputError(
-            f"{text!r} is neither a named functional nor a vector literal; "
-            f"named functionals: {known}")
+            f"{text!r} is neither a named {what} nor a vector literal; "
+            f"named {what}s: {known}")
 
 
 def _set_summary(name: str, s) -> str:
@@ -105,11 +96,18 @@ def _input_lines(args, doc, names) -> list[str]:
     return [_set_summary(name, doc.get_set(name)) for name in names]
 
 
-def cmd_check_extremal(args) -> rp.Report:
+def _load_pair(args):
+    """(doc, s1, s2, lines) for a command on two named sets: the loaded
+    instance, its sets args.set1 and args.set2, and the input lines that
+    -v asks for."""
     doc = load_instance(args.file)
     s1, s2 = doc.get_set(args.set1), doc.get_set(args.set2)
+    return doc, s1, s2, _input_lines(args, doc, (args.set1, args.set2))
+
+
+def cmd_check_extremal(args) -> rp.Report:
+    _, s1, s2, lines = _load_pair(args)
     verdict = is_extremal_system(s1, s2, epsilon=args.epsilon)
-    lines = _input_lines(args, doc, (args.set1, args.set2))
     lines.append(f"extremal: {'yes' if verdict.extremal else 'no'}")
     if verdict.extremal:
         g, b = verdict.boundary_evidence
@@ -126,10 +124,8 @@ def cmd_check_extremal(args) -> rp.Report:
 
 
 def cmd_separate(args) -> rp.Report:
-    doc = load_instance(args.file)
-    s1, s2 = doc.get_set(args.set1), doc.get_set(args.set2)
+    _, s1, s2, lines = _load_pair(args)
     cert = separate(s1, s2)
-    lines = _input_lines(args, doc, (args.set1, args.set2))
     if cert is None:
         lines.append("no separating functional exists; the pair is not extremal")
         payload = {"certificate": None}
@@ -142,12 +138,10 @@ def cmd_separate(args) -> rp.Report:
 
 
 def cmd_ep(args) -> rp.Report:
-    doc = load_instance(args.file)
-    s1, s2 = doc.get_set(args.set1), doc.get_set(args.set2)
-    point = _resolve_point(doc, args.point)
+    doc, s1, s2, lines = _load_pair(args)
+    point = _resolve(doc.points, args.point, "point")
     cert = approximate_extremal_principle(s1, s2, point, args.epsilon)
     verified = verify_approx_ep(s1, s2, point, cert)
-    lines = _input_lines(args, doc, (args.set1, args.set2))
     lines.append(f"epsilon: {rp.human_rat(cert.epsilon)}")
     lines.append(f"near-point in {args.set1}: {rp.human_vec(cert.x1)}")
     lines.append(f"near-point in {args.set2}: {rp.human_vec(cert.x2)}")
@@ -167,12 +161,10 @@ def _cone_lines(label: str, cone) -> list[str]:
 
 
 def cmd_intersection_rule(args) -> rp.Report:
-    doc = load_instance(args.file)
-    s1, s2 = doc.get_set(args.set1), doc.get_set(args.set2)
-    point = _resolve_point(doc, args.point)
+    doc, s1, s2, lines = _load_pair(args)
+    point = _resolve(doc.points, args.point, "point")
     qc = qualification_report(s1, s2, point)
     rule = intersection_rule(s1, s2, point)
-    lines = _input_lines(args, doc, (args.set1, args.set2))
     radius = ("" if qc.bounded_extremality_radius is None
               else f" (window radius {rp.human_rat(qc.bounded_extremality_radius)})")
     lines.append(
@@ -197,7 +189,7 @@ def cmd_intersection_rule(args) -> rp.Report:
 def cmd_support(args) -> rp.Report:
     doc = load_instance(args.file)
     s = doc.get_set(args.set)
-    g = _resolve_functional(doc, args.functional)
+    g = _resolve(doc.functionals, args.functional, "functional")
     value = support_value(s, g)
     lines = _input_lines(args, doc, (args.set,))
     if value.finite:
@@ -210,11 +202,9 @@ def cmd_support(args) -> rp.Report:
 
 
 def cmd_infconv(args) -> rp.Report:
-    doc = load_instance(args.file)
-    s1, s2 = doc.get_set(args.set1), doc.get_set(args.set2)
-    g = _resolve_functional(doc, args.functional)
+    doc, s1, s2, lines = _load_pair(args)
+    g = _resolve(doc.functionals, args.functional, "functional")
     value = inf_convolution_support(s1, s2, g)
-    lines = _input_lines(args, doc, (args.set1, args.set2))
     if value.kind == "finite":
         lines.append(f"infimal convolution value: {rp.human_rat(value.value)}")
         lines.append(f"split: {rp.human_vec(value.witness1)} + "
@@ -248,7 +238,7 @@ def cmd_plot(args) -> rp.Report:
     points = []
     fans = []
     if args.cones_at is not None:
-        point = _resolve_point(doc, args.cones_at)
+        point = _resolve(doc.points, args.cones_at, "point")
         points.append((args.cones_at, point))
         for index, (name, s) in enumerate(named_sets):
             if not s.contains(point):
@@ -262,7 +252,7 @@ def cmd_plot(args) -> rp.Report:
     if args.separator is not None:
         if len(named_sets) < 2:
             raise InputError("--separator needs at least two sets")
-        g = _resolve_functional(doc, args.separator)
+        g = _resolve(doc.functionals, args.separator, "functional")
         sup1 = support_value(named_sets[0][1], g)
         neg = support_value(named_sets[1][1], vneg(g))
         if not (sup1.finite and neg.finite):

@@ -12,7 +12,9 @@ The approximate principle is realized as one linear program. Instead of
 an iterative descent, the gap between the translated sets is minimized
 globally together with a small penalty that anchors the minimizer near
 the reference point; the dual multipliers of the gap rows assemble the
-pair of opposite unit functionals directly.
+pair of opposite unit functionals directly. _penalized_gap_program
+assembles the program from the rows of each set, placed on its own
+point, and the sup-norm epigraph rows of the gap and both penalties.
 """
 from __future__ import annotations
 
@@ -23,6 +25,8 @@ from .calculus import meets_interior, support_value
 from .cones import ep_condition, normal_cone
 from .errors import InputError, InternalError, PolyhedralError, PreconditionError
 from .linalg import (
+    ONE,
+    ZERO,
     Vec,
     combine,
     dot,
@@ -36,8 +40,8 @@ from .linalg import (
     vsub,
     zero_vec,
 )
-from .lp import LpOptimal, make_program, solve_lp
-from .sets import ConvexSet, check_same_dim
+from .lp import LinearProgram, LpOptimal, make_program, solve_lp
+from .sets import ConvexSet, HRep, check_same_dim
 
 Row = tuple[Vec, Fraction]
 
@@ -257,55 +261,59 @@ def check_sufficient_interiority(s1: ConvexSet, s2: ConvexSet) -> bool:
     return s1.interior_point() is not None and not meets_interior(s2, s1)
 
 
+def _penalized_gap_program(h1: HRep, h2: HRep, xbar: Vec, a: Vec, eps: Fraction) -> LinearProgram:
+    """min t + eps (p + q) over (x1, x2, t, p, q) with x1 in the rows h1,
+    x2 in the rows h2 and t, p, q sup-norm bounds on x1 - x2 + a,
+    x1 - xbar and x2 - xbar. Rows: h1's on x1, h2's on x2, then for each
+    bound |v - r| <= t the rows v_j - t <= r_j and -v_j - t <= -r_j."""
+    n = len(xbar)
+    zero = [ZERO] * (2 * n + 3)
+
+    def placed(rows, offset):
+        out = []
+        for normal, b in rows:
+            row = zero.copy()
+            row[offset:offset + n] = normal
+            out.append((row, b))
+        return out
+
+    def epigraph(terms, r, col):
+        flipped = [(o, -c) for o, c in terms]
+        out = []
+        for j, rj in enumerate(r):
+            for signed, b in ((terms, rj), (flipped, -rj)):
+                row = zero.copy()
+                for o, c in signed:
+                    row[o + j] = c
+                row[col] = -ONE
+                out.append((row, b))
+        return out
+
+    ineqs = (placed(h1.ineqs, 0) + placed(h2.ineqs, n)
+             + epigraph(((0, ONE), (n, -ONE)), vneg(a), 2 * n)
+             + epigraph(((0, ONE),), xbar, 2 * n + 1)
+             + epigraph(((n, ONE),), xbar, 2 * n + 2))
+    eqs = placed(h1.eqs, 0) + placed(h2.eqs, n)
+    return make_program(zero_vec(2 * n) + (ONE, eps, eps), ineqs=ineqs, eqs=eqs)
+
+
 def _penalized_gap_minimum(s1: ConvexSet, s2: ConvexSet, xbar: Vec,
                            a: Vec, eps: Fraction):
     """Minimize the sup-norm gap of the translated pair plus an epsilon
-    penalty on the distance of each point from xbar.
+    penalty on the distance of each point from xbar, by one solve of
+    _penalized_gap_program.
 
     Returns the minimizing points, the unit subgradient s of the gap
-    norm read off the dual multipliers, and the normal-cone components
-    of the stationarity identity for each block.
+    norm read off the dual multipliers of the gap rows, and the
+    normal-cone components of the stationarity identity for each block.
     """
     n = s1.dim
     h1, h2 = s1.hrep(), s2.hrep()
-    width = 2 * n + 3
-    it, ip, iq = 2 * n, 2 * n + 1, 2 * n + 2
-
-    def embed(row, offset, extra, coef):
-        out = [Fraction(0)] * width
-        for j, c in enumerate(row):
-            out[offset + j] = c
-        if extra is not None:
-            out[extra] = coef
-        return out
-
-    rows = []
-    for av, b in h1.ineqs:
-        rows.append((embed(av, 0, None, None), b))
-    for av, b in h2.ineqs:
-        rows.append((embed(av, n, None, None), b))
-    for j in range(n):
-        plus = [Fraction(0)] * width
-        plus[j], plus[n + j], plus[it] = Fraction(1), Fraction(-1), Fraction(-1)
-        rows.append((plus, -a[j]))
-        minus = [Fraction(0)] * width
-        minus[j], minus[n + j], minus[it] = Fraction(-1), Fraction(1), Fraction(-1)
-        rows.append((minus, a[j]))
-    for j in range(n):
-        rows.append((embed((Fraction(1),), j, ip, Fraction(-1)), xbar[j]))
-        rows.append((embed((Fraction(-1),), j, ip, Fraction(-1)), -xbar[j]))
-    for j in range(n):
-        rows.append((embed((Fraction(1),), n + j, iq, Fraction(-1)), xbar[j]))
-        rows.append((embed((Fraction(-1),), n + j, iq, Fraction(-1)), -xbar[j]))
-    eqs = [(embed(av, 0, None, None), b) for av, b in h1.eqs]
-    eqs += [(embed(av, n, None, None), b) for av, b in h2.eqs]
-    obj = [Fraction(0)] * width
-    obj[it], obj[ip], obj[iq] = Fraction(1), eps, eps
-    out = solve_lp(make_program(obj, ineqs=rows, eqs=eqs))
+    out = solve_lp(_penalized_gap_program(h1, h2, xbar, a, eps))
     if not isinstance(out, LpOptimal):
         raise InternalError("penalized gap program must attain its minimum")
     x1, x2 = out.point[:n], out.point[n:2 * n]
-    if out.point[it] <= 0:
+    if out.point[2 * n] <= 0:
         raise InternalError("zero gap contradicts the verified disjointness")
     m1, m2 = len(h1.ineqs), len(h2.ineqs)
     y, z = out.dual_ineq, out.dual_eq

@@ -220,12 +220,10 @@ class _Tableau:
     Artificials never enter, so every pivot column is stored up to sign.
     """
 
-    def __init__(self, lp: LinearProgram, rows: IntegerRows | None = None):
+    def __init__(self, lp: LinearProgram, rows: IntegerRows):
         """The starting tableau of lp, read off rows, the integer form of
-        lp's rows (built here if None): each row is s*a, s*b, negated
-        where b < 0 so the rhs is nonnegative."""
-        if rows is None:
-            rows = integer_rows(lp)
+        lp's rows: each row is s*a, s*b, negated where b < 0 so the rhs
+        is nonnegative."""
         self.lp = lp
         n = lp.dim
         self.m1 = len(lp.ineq_lhs)
@@ -420,14 +418,11 @@ class _Tableau:
         return out
 
 
-def _phase_one(lp: LinearProgram, rows: IntegerRows | None = None) -> _Tableau | LpInfeasible:
+def _phase_one(lp: LinearProgram, rows: IntegerRows) -> _Tableau | LpInfeasible:
     """A tableau holding a feasible basis of lp's constraints with the
     artificials driven out, or the Farkas outcome, verified. rows is
     the integer form of lp's rows, which the tableau starts from and the
-    check reads (built here if None). Bland's rule here never reads
-    lp.objective."""
-    if rows is None:
-        rows = integer_rows(lp)
+    check reads. Bland's rule here never reads lp.objective."""
     tab = _Tableau(lp, rows)
     obj = tab.phase_one_row()
     if tab._run(obj) is not None:

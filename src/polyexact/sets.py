@@ -29,12 +29,12 @@ lp.PreparedSystem), the rows of the double description, the canonical
 forms, whether the set is bounded, the normal cone at each point asked
 and the support value of each functional asked. Emptiness is read off
 that phase one, and support values share it. cached_with() holds results
-of a pair for the set's last partner, compared by identity: the difference
-set, the pair's prepared gauge program (see calculus._reach_system) and
-its reaches along the cube's corners and axes. Every question asked of
-one pair then shares one A - B, with its rows, canonical form and
-prepared LP system, runs phase one once for all reaches and solves
-each direction once.
+of a pair for the set's last partner, compared by identity: A & B,
+A - B, the pair's prepared gauge program (see calculus._reach_system)
+and its reaches along the cube's corners and axes, so the questions
+asked of one pair share one A & B and one A - B, each with one phase
+one, and solve each direction once. Another partner evicts them all,
+so a one-off pairing is asked of the one-off set.
 """
 from __future__ import annotations
 
@@ -205,19 +205,17 @@ class ConvexSet:
         def build():
             h = self.hrep()
             return PreparedSystem(make_program(zero_vec(self.dim), ineqs=h.ineqs, eqs=h.eqs),
-                                  self._integer_rows(h))
+                                  self.integer_rows())
         return self.cached("lp_system", build)
 
     def integer_rows(self) -> IntegerRows:
         """The rows of hrep() over the integers (lp.integer_form), built
         once per set. Every point test reads them, and so do lp_system()
         and its certificate checks. Unlike an LP they are not capped."""
-        return self._integer_rows(self.hrep())
-
-    def _integer_rows(self, h: HRep) -> IntegerRows:
-        """integer_rows() for a caller that already holds h, the set's
-        hrep(), or its raw rows, and so need not ask for them again."""
-        return self.cached("integer_rows", lambda: integer_form(h.ineqs, h.eqs))
+        def build():
+            h = self.hrep()
+            return integer_form(h.ineqs, h.eqs)
+        return self.cached("integer_rows", build)
 
     def cached(self, key, build):
         """build(), run once per key and kept on the set, for a result
@@ -235,7 +233,9 @@ class ConvexSet:
         """As cached(), for a result that also depends on a partner set.
         Results are kept for the last partner only, which is compared by
         identity and held, so the questions asked of one pair share their
-        work and a set never accumulates partners."""
+        work and a set never accumulates partners; a new one evicts them
+        all. build holds this set's lock only, so what it reads of other
+        is derived first; it may ask again for the same partner."""
         with self._lock:
             if self._partner is not other:
                 self._partner = other
@@ -253,7 +253,7 @@ class ConvexSet:
         only by generators solves one LP and derives no rows for it."""
         x = self._point(x)
         if self._hrep is not None:
-            return _satisfies(self._integer_rows(self._hrep), (), *over_one_denominator(x))
+            return _satisfies(self.integer_rows(), (), *over_one_denominator(x))
         v = self._vrep
         return _generator_membership(v.vertices, v.rays, x)
 
@@ -350,7 +350,7 @@ class ConvexSet:
         integer_rows(); the normals returned are the rows' own."""
         x = self._point(x)
         h = self.hrep()
-        rows = self._integer_rows(h)
+        rows = self.integer_rows()
         xs, q = over_one_denominator(x)
         if not _satisfies(rows, (), xs, q):
             raise PreconditionError("point is not in the set")
@@ -390,9 +390,14 @@ class ConvexSet:
         return ConvexSet(hrep=hrep, vrep=vrep)
 
     def intersect(self, other: "ConvexSet") -> "ConvexSet":
+        """This set's rows and then other's, kept for the last partner
+        (see cached_with) as the difference is. Both hreps are derived
+        first, so the build only stacks rows."""
         check_same_dim(self, other)
         a, b = self.hrep(), other.hrep()
-        return ConvexSet(hrep=HRep(self.dim, a.ineqs + b.ineqs, a.eqs + b.eqs))
+        return self.cached_with(
+            other, "intersection",
+            lambda: ConvexSet(hrep=HRep(self.dim, a.ineqs + b.ineqs, a.eqs + b.eqs)))
 
     def minkowski(self, other: "ConvexSet") -> "ConvexSet":
         check_same_dim(self, other)

@@ -86,7 +86,7 @@ def _angular_order(vertices: list[Vec]) -> list[Vec]:
 
 def _clip_to_viewport(s: ConvexSet, half_width: Fraction) -> list[Vec]:
     box = ball_inf((0, 0), half_width)
-    clipped = s.intersect(box)
+    clipped = box.intersect(s)
     if clipped.is_empty():
         return []
     return _angular_order(list(clipped.vrep().vertices))

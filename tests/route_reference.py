@@ -7,8 +7,13 @@ the set is flat. Generator membership now goes through
 lp.combination_program; reference_generator_program is the program it
 replaced, built by hand with its "weights sum to one" row.
 common_point now reads the intersection's prepared system;
-reference_common_point is the cold solve it replaced.
+reference_common_point is the cold solve it replaced. The penalized gap
+program of the approximate principle is now assembled from the pair's
+row blocks (extremality._penalized_gap_program); reference_gap_program
+is the hand-indexed builder it replaced.
 """
+from fractions import Fraction
+
 from polyexact.errors import InternalError
 from polyexact.linalg import ONE, ZERO, l1_norm, zero_vec
 from polyexact.lp import NONNEG, LpInfeasible, LpOptimal, make_program, solve_lp
@@ -49,3 +54,43 @@ def reference_common_point(s1, s2):
     h = s1.intersect(s2).hrep()
     out = solve_lp(make_program(zero_vec(h.dim), ineqs=h.ineqs, eqs=h.eqs))
     return out.point if isinstance(out, LpOptimal) else None
+
+
+def reference_gap_program(h1, h2, xbar, a, eps):
+    """The penalized gap program over (x1, x2, t, p, q), written out
+    index by index."""
+    n = len(xbar)
+    width = 2 * n + 3
+    it, ip, iq = 2 * n, 2 * n + 1, 2 * n + 2
+
+    def embed(row, offset, extra, coef):
+        out = [Fraction(0)] * width
+        for j, c in enumerate(row):
+            out[offset + j] = c
+        if extra is not None:
+            out[extra] = coef
+        return out
+
+    rows = []
+    for av, b in h1.ineqs:
+        rows.append((embed(av, 0, None, None), b))
+    for av, b in h2.ineqs:
+        rows.append((embed(av, n, None, None), b))
+    for j in range(n):
+        plus = [Fraction(0)] * width
+        plus[j], plus[n + j], plus[it] = Fraction(1), Fraction(-1), Fraction(-1)
+        rows.append((plus, -a[j]))
+        minus = [Fraction(0)] * width
+        minus[j], minus[n + j], minus[it] = Fraction(-1), Fraction(1), Fraction(-1)
+        rows.append((minus, a[j]))
+    for j in range(n):
+        rows.append((embed((Fraction(1),), j, ip, Fraction(-1)), xbar[j]))
+        rows.append((embed((Fraction(-1),), j, ip, Fraction(-1)), -xbar[j]))
+    for j in range(n):
+        rows.append((embed((Fraction(1),), n + j, iq, Fraction(-1)), xbar[j]))
+        rows.append((embed((Fraction(-1),), n + j, iq, Fraction(-1)), -xbar[j]))
+    eqs = [(embed(av, 0, None, None), b) for av, b in h1.eqs]
+    eqs += [(embed(av, n, None, None), b) for av, b in h2.eqs]
+    obj = [Fraction(0)] * width
+    obj[it], obj[ip], obj[iq] = Fraction(1), eps, eps
+    return make_program(obj, ineqs=rows, eqs=eqs)

@@ -636,7 +636,8 @@ def test_dependent_equalities_leave_inactive_rows():
     # so the dependent corpus above reaches rows dropped by the drive-out
     feasible = []
     for seed in range(600):
-        tab = lp_module._phase_one(_with_dependent_equalities(_signed_lp(seed)))
+        lp = _with_dependent_equalities(_signed_lp(seed))
+        tab = lp_module._phase_one(lp, lp_module.integer_rows(lp))
         if isinstance(tab, lp_module._Tableau):
             feasible.append(tab)
     assert len(feasible) > 200
@@ -797,7 +798,7 @@ def _after_one_pivot():
     """x enters at row 0, so the denominator becomes 2. Stored columns:
     x, y, the four slacks, the rhs."""
     lp = make_program([0, 0], ineqs=[((2, 1), 4), ((1, 1), 3), ((1, 3), 5), ((4, 2), 9)])
-    tab = lp_module._Tableau(lp)
+    tab = lp_module._Tableau(lp, lp_module.integer_rows(lp))
     tab._pivot(0, 0, None)
     assert tab.den == 2
     assert tab.rows == [[2, 1, 1, 0, 0, 0, 4], [0, 1, -1, 2, 0, 0, 2],

@@ -1,7 +1,7 @@
-"""Each pair's work is done once: the difference set, the gauge program
-with its reaches and the normal cones are built once per suite task and
-shared by every question asked of the pair, and a cone answers each
-membership question once."""
+"""Each pair's work is done once: the intersection and difference sets,
+the gauge program with its reaches and the normal cones are built once
+per suite task and shared by every question asked of the pair, and a
+cone answers each membership question once."""
 import sys
 
 import pytest
@@ -25,14 +25,16 @@ def _rebind(monkeypatch, module, name, wrapper):
 
 
 class Counts:
-    """Counting wrappers on minkowski, the gauge programs and the reaches
-    along each direction, normal_cone, make_cone, the conic membership
-    LPs, the double descriptions and the certificate checks, in the
-    solver and in all. Arguments are kept alive, so object identities
-    stay unique for the whole run."""
+    """Counting wrappers on minkowski, the builds of kept intersections,
+    the gauge programs and the reaches along each direction,
+    normal_cone, make_cone, the conic membership LPs, the double
+    descriptions and the certificate checks, in the solver and in all.
+    Arguments are kept alive, so object identities stay unique for the
+    whole run."""
 
     def __init__(self, monkeypatch):
         self.minkowski = 0
+        self.intersections = []
         self.systems = []
         self.reaches = []
         self.make_cone = 0
@@ -43,6 +45,7 @@ class Counts:
         self.solver_checks = 0
         self._in_normal_cone = []
         minkowski = ConvexSet.minkowski
+        cached_with = ConvexSet.cached_with
         reach_system = calculus._reach_system
         reach = calculus._reach_along
         make_cone = cones.make_cone
@@ -55,6 +58,14 @@ class Counts:
         def counted_minkowski(s, other):
             self.minkowski += 1
             return minkowski(s, other)
+
+        def counted_cached_with(s, other, key, build):
+            def counted_build():
+                out = build()
+                if key == "intersection":
+                    self.intersections.append(out)
+                return out
+            return cached_with(s, other, key, counted_build)
 
         def counted_system(s1, s2):
             system = reach_system(s1, s2)
@@ -95,6 +106,7 @@ class Counts:
             return solver_check(*args)
 
         monkeypatch.setattr(ConvexSet, "minkowski", counted_minkowski)
+        monkeypatch.setattr(ConvexSet, "cached_with", counted_cached_with)
         _rebind(monkeypatch, dd, "cone_from_inequalities", counted_dd)
         _rebind(monkeypatch, lp, "verify_certificate", counted_verify)
         _rebind(monkeypatch, lp, "_check", counted_solver_check)
@@ -125,8 +137,10 @@ def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
     record = suite._run_task(task)
     assert record["violations"] == []
 
-    # one A - B per task, shared by every question about the pair
+    # one A - B and one A & B per task, shared by every question about
+    # the pair
     assert counts.minkowski == 1
+    assert len(counts.intersections) == 1
     # the task's own sets get one gauge program, and no direction is
     # solved on it twice
     _, s1, s2, _ = instances[0]
@@ -154,12 +168,22 @@ def test_slice_counts_are_pinned(monkeypatch):
     were 145 reaches on 28 systems while the unit window of each
     interior pair was solved again instead of checked.
 
-    Every certificate is checked: 1,934 checks, 1,699 of them in the
+    The 18 tasks build 18 intersections, one per task, each with one
+    phase one on its rows. While every caller built its own there were
+    71 intersections and 54 such phase ones.
+
+    Every certificate is checked: 1,915 checks, 1,680 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
-    them. They were 1,917 and 1,682 while the reach program ran over
-    (x1, delta) and found its common point in its own phase one; the
-    gauge program takes one common-point solve, with its check, for
-    each of the 17 slice pairs that meet. They were 2,313 and 2,078 while the window, the segment reach
+    them. They were 1,934 and 1,699 while each caller built its own
+    intersection: support_intersection_theorem at the first probe now
+    reads the kept intersection, whose support value there the sweep has
+    already solved, so each of the 17 slice pairs that meet skips one
+    support solve with its check, and the disjoint pair skips two phase
+    ones, each ending in a checked Farkas outcome. They were 1,917 and
+    1,682 while the reach program ran over (x1, delta) and found its
+    common point in its own phase one; the gauge program takes one
+    common-point solve, with its check, for each of the 17 slice pairs
+    that meet. They were 2,313 and 2,078 while the window, the segment reach
     and the points outside cones were solved, and 2,092 and 1,857 while
     each support value was solved again on every request (750 support
     phase twos, now 546; a bounded check, kept per set, adds 26). There
@@ -174,7 +198,9 @@ def test_slice_counts_are_pinned(monkeypatch):
     assert len(counts.reaches) == 105
     assert counts.make_cone == 91
     assert counts.memberships == 337
-    assert (counts.checks, counts.solver_checks) == (1934, 1699)
+    assert (counts.checks, counts.solver_checks) == (1915, 1680)
     assert counts.dd == 180
+    assert len(counts.intersections) == 18
+    assert all("lp_system" in s._memo for s in counts.intersections)
     pairs = [(id(a), id(b)) for a, b, _ in counts.systems]
     assert len(pairs) == len(set(pairs)) == 18

@@ -1,12 +1,14 @@
 """One production route per decision, checked against the route it
 replaced (route_reference): whether a set meets the interior of another,
 whether a set has interior points none of which lies in another, a
-common point of two sets, and the program of generator membership.
+common point of two sets, the program of generator membership and the
+penalized gap program of the approximate principle.
 
 The corpus is the pairs of a small default-shaped suite run, in both
 orders, which includes the fixture pairs, together with a flat second
 set described only by inequalities, empty second sets and disjoint
 pairs. A property adds row permutations and redundant rows."""
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -14,15 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyexact import sets as sets_module
-from polyexact import suite
+from polyexact import extremality, suite
 from polyexact.calculus import common_point, meets_interior
-from polyexact.extremality import check_sufficient_interiority
-from polyexact.linalg import unit_vec, vadd, vscale
-from polyexact.lp import LpOptimal, solve_lp
+from polyexact.extremality import EPSILON_GRID, check_sufficient_interiority
+from polyexact.linalg import dot, unit_vec, vadd, vscale
+from polyexact.lp import LinearProgram, LpOptimal, solve_lp
 from polyexact.oracle import random_pair_with_common_point
-from polyexact.sets import ConvexSet
+from polyexact.sets import ConvexSet, HRep
 from route_reference import (
     reference_common_point,
+    reference_gap_program,
     reference_generator_program,
     reference_meets_interior,
 )
@@ -162,3 +165,31 @@ def test_meets_interior_ignores_row_order_and_redundant_rows(pair, data):
     shuffled += [(a1, b1), (a2, b2 + data.draw(st.integers(0, 2))),
                  (tuple(x + y for x, y in zip(a1, a2)), b1 + b2)]
     assert meets_interior(s1, ConvexSet.from_hrep(dim, shuffled)) == want
+
+
+@PROPERTY
+@given(st.data())
+def test_gap_program_matches_the_hand_indexed_builder(data):
+    """Random pairs in dims 2-4 in both orders, each set made flat half
+    the time by a row held with equality at the common point, a random
+    translation, at every epsilon of the grid: the program assembled
+    from row blocks equals the one written out index by index."""
+    dim = data.draw(st.integers(2, 4))
+    s1, s2, anchor = random_pair_with_common_point(data.draw(st.integers(1, 60)), dim)
+    if data.draw(st.booleans()):
+        s1, s2 = s2, s1
+
+    def rows(s):
+        h = s.hrep()
+        if not data.draw(st.booleans()):
+            return h
+        a, _ = data.draw(st.sampled_from(h.ineqs))
+        return HRep(dim, h.ineqs, ((a, dot(a, anchor)),))
+
+    h1, h2 = rows(s1), rows(s2)
+    shift = tuple(data.draw(st.fractions(-2, 2, max_denominator=4)) for _ in range(dim))
+    for eps in EPSILON_GRID:
+        got = extremality._penalized_gap_program(h1, h2, anchor, shift, eps)
+        want = reference_gap_program(h1, h2, anchor, shift, eps)
+        for f in fields(LinearProgram):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name

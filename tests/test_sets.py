@@ -366,6 +366,51 @@ def _square_and_triangle():
     return square, triangle
 
 
+def test_intersection_follows_the_last_partner():
+    a = unit_square()
+    b = unit_square().translate((F(1, 2), 0))
+    c = ConvexSet.from_vrep(2, vertices=[(1, 1), (3, 1), (1, 3)])
+    both = a.intersect(b)
+    assert a.intersect(b) is both
+    # a new partner evicts the pair's record, so b comes back to a fresh
+    # set with the same rows
+    a.intersect(c)
+    again = a.intersect(b)
+    assert again is not both and again.hrep() == both.hrep()
+    # a partner equal to b but a distinct object gets its own set too
+    twin = ConvexSet.from_hrep(2, ineqs=b.hrep().ineqs)
+    assert a.intersect(twin) is not again and a.intersect(twin).hrep() == both.hrep()
+
+
+def test_intersections_of_a_pair_race_in_both_orders():
+    """a & b and b & a, asked at once on sets described by generators,
+    so each build first derives both sets' rows under their own locks:
+    both orders finish, and each ordered pair gets one kept set."""
+    for _ in range(5):
+        a, b = _square_and_triangle()
+        start = threading.Barrier(4)
+        got = [None] * 4
+
+        def ask(k):
+            start.wait()
+            got[k] = a.intersect(b) if k % 2 else b.intersect(a)
+
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got[1] is got[3] is a.intersect(b)
+        assert got[0] is got[2] is b.intersect(a)
+        assert sets_equal(got[0], got[1])
+
+
 def test_difference_follows_the_last_partner():
     a = unit_square()
     b = ConvexSet.from_vrep(2, vertices=[(1, 1), (3, 1), (1, 3)])

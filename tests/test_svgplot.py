@@ -23,6 +23,14 @@ def test_bytes_are_reproducible():
     assert render_scene(**scene) == render_scene(**scene)
 
 
+def test_plotting_keeps_the_pair_records_of_the_sets():
+    doc = load_instance("halfplanes")
+    lower, upper = doc.get_set("lower"), doc.get_set("upper")
+    both, diff = lower.intersect(upper), lower.difference(upper)
+    render_scene([("lower", lower), ("upper", upper)])
+    assert lower.intersect(upper) is both and lower.difference(upper) is diff
+
+
 def test_document_envelope():
     svg = render_scene([("square", unit_square())])
     assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>\n<svg ')
