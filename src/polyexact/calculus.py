@@ -85,13 +85,9 @@ def _common_member(s1: ConvexSet, s2: ConvexSet, xbar) -> Vec:
 
 
 def common_point(s1: ConvexSet, s2: ConvexSet) -> Vec | None:
-    """A point of the intersection, read off its prepared system, or None
-    when the sets are disjoint."""
-    check_same_dim(s1, s2)
-    joint = s1.intersect(s2)
-    if joint.is_empty():
-        return None
-    return joint.lp_system().solve(zero_vec(s1.dim)).point
+    """A point of the intersection, the checked phase-one point of its
+    prepared system, or None when the sets are disjoint."""
+    return s1.intersect(s2).lp_system().point
 
 
 def _pair_rows(s1: ConvexSet, s2: ConvexSet):

@@ -128,13 +128,11 @@ def cmd_separate(args) -> rp.Report:
     cert = separate(s1, s2)
     if cert is None:
         lines.append("no separating functional exists; the pair is not extremal")
-        payload = {"certificate": None}
     else:
         lines.append(f"separating functional: {rp.human_vec(cert.functional)}")
         lines.append(f"sup over {args.set1}: {rp.human_rat(cert.sup1)}")
         lines.append(f"inf over {args.set2}: {rp.human_rat(cert.inf2)}")
-        payload = {"certificate": rp.separation_payload(cert)}
-    return rp.Report("separate", True, payload, lines)
+    return rp.Report("separate", True, {"certificate": rp.payload(cert)}, lines)
 
 
 def cmd_ep(args) -> rp.Report:
@@ -150,7 +148,7 @@ def cmd_ep(args) -> rp.Report:
     lines.append(f"normal-cone residuals: {rp.human_vec(cert.error1)} "
                  f"and {rp.human_vec(cert.error2)}")
     lines.append(f"independent recheck: {'pass' if verified else 'fail'}")
-    payload = {"certificate": rp.approx_ep_payload(cert), "verified": verified}
+    payload = {"certificate": rp.payload(cert), "verified": verified}
     return rp.Report("ep", verified, payload, lines)
 
 
@@ -181,7 +179,7 @@ def cmd_intersection_rule(args) -> rp.Report:
     split = sum(1 for d in rule.decompositions if d.part1 is not None)
     lines.append(f"probes split through both cones: {split} of "
                  f"{len(rule.decompositions)}")
-    payload = {"qualification": rp.qc_payload(qc), "rule": rp.rule_payload(rule)}
+    payload = {"qualification": rp.payload(qc), "rule": rp.payload(rule)}
     ok = rule.equal or not qc.bounded_extremality
     return rp.Report("intersection-rule", ok, payload, lines)
 
@@ -298,6 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-v", "--verbose", action="count",
                         default=argparse.SUPPRESS,
                         help="add input summaries; twice to echo the payload")
+    # the five commands on a pair of sets name them the same way
+    pair = argparse.ArgumentParser(add_help=False, parents=[common])
+    pair.add_argument("file", help="fixture name or instance path")
+    pair.add_argument("set1")
+    pair.add_argument("set2")
 
     parser = argparse.ArgumentParser(
         prog="polyexact",
@@ -309,38 +312,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="add input summaries; twice to echo the payload")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-extremal", parents=[common],
+    p = sub.add_parser("check-extremal", parents=[pair],
                        help="decide whether a pair of sets is extremal")
-    p.add_argument("file", help="fixture name or instance path")
-    p.add_argument("set1")
-    p.add_argument("set2")
     p.add_argument("--epsilon", type=_frac_arg, default=None,
                    help="also produce a disjoining translation of this size")
     p.set_defaults(handler=cmd_check_extremal)
 
-    p = sub.add_parser("separate", parents=[common],
+    p = sub.add_parser("separate", parents=[pair],
                        help="find a separating functional for a pair")
-    p.add_argument("file")
-    p.add_argument("set1")
-    p.add_argument("set2")
     p.set_defaults(handler=cmd_separate)
 
-    p = sub.add_parser("ep", parents=[common],
+    p = sub.add_parser("ep", parents=[pair],
                        help="build the epsilon-scale dual certificate at a "
                             "common point of an extremal pair")
-    p.add_argument("file")
-    p.add_argument("set1")
-    p.add_argument("set2")
     p.add_argument("point", help="named point or literal like 0,0")
     p.add_argument("epsilon", type=_frac_arg)
     p.set_defaults(handler=cmd_ep)
 
-    p = sub.add_parser("intersection-rule", parents=[common],
+    p = sub.add_parser("intersection-rule", parents=[pair],
                        help="compare the intersection normal cone with the "
                             "sum of the normal cones")
-    p.add_argument("file")
-    p.add_argument("set1")
-    p.add_argument("set2")
     p.add_argument("point")
     p.set_defaults(handler=cmd_intersection_rule)
 
@@ -351,11 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("functional", help="named functional or literal like 1,1")
     p.set_defaults(handler=cmd_support)
 
-    p = sub.add_parser("infconv", parents=[common],
+    p = sub.add_parser("infconv", parents=[pair],
                        help="infimal convolution of two support functions")
-    p.add_argument("file")
-    p.add_argument("set1")
-    p.add_argument("set2")
     p.add_argument("functional")
     p.set_defaults(handler=cmd_infconv)
 
@@ -394,11 +382,11 @@ def main(argv=None) -> int:
     try:
         report = args.handler(args)
     except InternalError as e:
-        return _fail(args, getattr(args, "command", "error"), "internal", e, 1)
+        return _fail(args, "internal", e, 1)
     except PreconditionError as e:
-        return _fail(args, getattr(args, "command", "error"), "precondition", e, 1)
+        return _fail(args, "precondition", e, 1)
     except PolyhedralError as e:
-        return _fail(args, getattr(args, "command", "error"), "input", e, 2)
+        return _fail(args, "input", e, 2)
     if args.json:
         sys.stdout.write(report.to_json())
     else:
@@ -408,9 +396,9 @@ def main(argv=None) -> int:
     return 0 if report.ok else 1
 
 
-def _fail(args, command: str, kind: str, error: Exception, code: int) -> int:
-    if getattr(args, "json", False):
-        failure = rp.Report(command, False,
+def _fail(args, kind: str, error: Exception, code: int) -> int:
+    if args.json:
+        failure = rp.Report(args.command, False,
                             {"error": {"kind": kind, "message": str(error)}},
                             [str(error)])
         sys.stdout.write(failure.to_json())

@@ -26,6 +26,8 @@ larger inputs raise CapacityError before any conversion work starts.
 JSON integers meet the literal cap before int() runs, and one that
 int() still refuses, past the interpreter's digit limit, is a
 FormatError, as is nesting deeper than the JSON decoder can recurse.
+Documents are read as UTF-8 whatever the locale, and bytes that are not
+UTF-8 are a FormatError too.
 """
 from __future__ import annotations
 
@@ -273,13 +275,22 @@ def load_instance(ref: str) -> InstanceDocument:
     looks_like_path = ref.endswith(".json") or os.sep in ref
     path = Path(ref)
     if looks_like_path or path.exists():
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise InputError(f"cannot read instance file {ref!r}: {e}") from e
-        return parse_document(text)
+        return _read_document(path, ref)
     candidate = _fixture_root().joinpath(f"{ref}.json")
     if candidate.is_file():
-        return parse_document(candidate.read_text())
+        return _read_document(candidate, ref)
     have = ", ".join(fixture_names()) or "none"
     raise InputError(f"no instance file or fixture {ref!r}; fixtures: {have}")
+
+
+def _read_document(source, ref: str) -> InstanceDocument:
+    """Parse the document at source, a path or a packaged fixture, read
+    as UTF-8 whatever the locale; bytes that are not UTF-8 are a
+    FormatError."""
+    try:
+        text = source.read_text(encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"cannot read instance file {ref!r}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise FormatError(f"not UTF-8 text: {e.reason} at byte {e.start}") from e
+    return parse_document(text)

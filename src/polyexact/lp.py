@@ -497,9 +497,10 @@ class PreparedSystem:
     verified once, for every objective; that certificate does not
     involve the objective either. A feasible system checks its
     phase-one point against the rows once, so infeasible is None only
-    with a verified witness. The integer form of the rows (integer_rows),
-    which the tableau starts from and every check reads, is built once,
-    here, or handed in by the caller that already holds it.
+    with a verified witness; that checked point is kept as point (None
+    when the rows have no solution). The integer form of the rows
+    (integer_rows), which the tableau starts from and every check reads,
+    is built once, here, or handed in by the caller that already holds it.
     """
 
     def __init__(self, lp: LinearProgram, rows: IntegerRows | None = None):
@@ -508,9 +509,11 @@ class PreparedSystem:
         self.lp = lp
         self.rows = integer_rows(lp) if rows is None else rows
         self._start = _phase_one(lp, self.rows)
-        if (not isinstance(self._start, LpInfeasible)
-                and not _feasible(self.rows, lp.var_signs, self._start.point())):
-            raise InternalError("phase-one point fails the rows")
+        self.point = None
+        if not isinstance(self._start, LpInfeasible):
+            self.point = self._start.point()
+            if not _feasible(self.rows, lp.var_signs, self.point):
+                raise InternalError("phase-one point fails the rows")
 
     @property
     def infeasible(self) -> LpInfeasible | None:

@@ -1,25 +1,28 @@
 """Report objects: canonical machine-readable JSON plus a text view.
 
-The machine form is deterministic byte for byte: keys are sorted, all
-rationals are reduced "p/q" strings, infinities are the markers "+inf"
-and "-inf", and no timing or host information is ever included. The
+The machine form is deterministic byte for byte: keys are sorted, and
+no timing or host information is ever included. Every result enters it
+through one encoder, payload: a rational becomes its reduced "p/q"
+string, a tuple becomes a list, a result dataclass becomes an object of
+the fields that take part in its equality (compare=True), and any other
+value, None included, stays as it is. Three results wrap the encoder,
+because their JSON is not just their fields: an extremality verdict
+writes its evidence row as {"normal", "rhs"}, and a support value and an
+infimal convolution value write the markers "+inf" and "-inf". The
 human renderer may append decimal approximations in parentheses; those
 never appear in the machine form.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .calculus import (
-    InfConvolutionValue,
-    IntersectionRuleResult,
-    QcReport,
-    SupportValue,
-)
-from .cones import PolyhedralCone
-from .extremality import ApproxEpCertificate, ExtremalityVerdict, SeparationCertificate
+if TYPE_CHECKING:
+    from .calculus import InfConvolutionValue, SupportValue
+    from .extremality import ExtremalityVerdict
 
 PLUS_INF = "+inf"
 MINUS_INF = "-inf"
@@ -45,18 +48,52 @@ class Report:
         return "\n".join(out) + "\n"
 
 
-# -- rational and vector formatting --------------------------------------------
+# -- the encoder -----------------------------------------------------------------
 
-def vec_payload(v):
-    return None if v is None else [str(c) for c in v]
-
-
-def row_payload(row):
-    if row is None:
+@functools.cache
+def _compared_fields(kind: type) -> tuple[str, ...] | None:
+    """The names of a dataclass type's compare=True fields, or None for
+    any other type; looked up once per type."""
+    if not is_dataclass(kind):
         return None
-    a, b = row
-    return {"normal": vec_payload(a), "rhs": str(b)}
+    return tuple(f.name for f in fields(kind) if f.compare)
 
+
+def payload(value):
+    """value as plain data for canonical JSON (see the module docstring)."""
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind is tuple:
+        return [payload(v) for v in value]
+    names = _compared_fields(kind)
+    if names is None:
+        return value
+    return {name: payload(getattr(value, name)) for name in names}
+
+
+# the benchmark workloads read the separation payload by this name
+separation_payload = payload
+
+
+def extremality_payload(v: ExtremalityVerdict) -> dict:
+    row = v.boundary_evidence
+    evidence = None if row is None else {"normal": payload(row[0]), "rhs": str(row[1])}
+    return {**payload(v), "boundary_evidence": evidence}
+
+
+def support_payload(sv: SupportValue) -> dict:
+    return {**payload(sv), "value": PLUS_INF if sv.value is None else str(sv.value)}
+
+
+def infconv_payload(v: InfConvolutionValue) -> dict:
+    out = payload(v)
+    if v.kind != "finite":
+        out["value"] = PLUS_INF if v.kind == "plus-infinity" else MINUS_INF
+    return out
+
+
+# -- the text view ---------------------------------------------------------------
 
 def human_rat(x: Fraction) -> str:
     if x.denominator == 1:
@@ -66,95 +103,3 @@ def human_rat(x: Fraction) -> str:
 
 def human_vec(v) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
-
-
-# -- domain payloads -------------------------------------------------------------
-
-def cone_payload(c: PolyhedralCone) -> dict:
-    return {
-        "dim": c.dim,
-        "generators": [vec_payload(g) for g in c.generators],
-        "lineality": [vec_payload(g) for g in c.lineality],
-    }
-
-
-def extremality_payload(v: ExtremalityVerdict) -> dict:
-    return {
-        "extremal": v.extremal,
-        "boundary_evidence": row_payload(v.boundary_evidence),
-        "interior_ball_radius": None if v.interior_ball_radius is None else str(v.interior_ball_radius),
-        "epsilon": None if v.epsilon is None else str(v.epsilon),
-        "perturbation": vec_payload(v.perturbation),
-    }
-
-
-def separation_payload(c: SeparationCertificate) -> dict:
-    return {
-        "functional": vec_payload(c.functional),
-        "sup1": str(c.sup1),
-        "inf2": str(c.inf2),
-    }
-
-
-def approx_ep_payload(c: ApproxEpCertificate) -> dict:
-    return {
-        "epsilon": str(c.epsilon),
-        "x1": vec_payload(c.x1),
-        "x2": vec_payload(c.x2),
-        "xstar1": vec_payload(c.xstar1),
-        "xstar2": vec_payload(c.xstar2),
-        "normal1": vec_payload(c.normal1),
-        "error1": vec_payload(c.error1),
-        "normal2": vec_payload(c.normal2),
-        "error2": vec_payload(c.error2),
-    }
-
-
-def qc_payload(r: QcReport) -> dict:
-    return {
-        "classical_interiority": r.classical_interiority,
-        "difference_interiority": r.difference_interiority,
-        "bounded_extremality": r.bounded_extremality,
-        "bounded_extremality_radius": (
-            None if r.bounded_extremality_radius is None else str(r.bounded_extremality_radius)
-        ),
-        "core_condition": r.core_condition,
-    }
-
-
-def rule_payload(r: IntersectionRuleResult) -> dict:
-    return {
-        "equal": r.equal,
-        "lhs": cone_payload(r.lhs),
-        "rhs": cone_payload(r.rhs),
-        "decompositions": [
-            {
-                "probe": vec_payload(d.probe),
-                "in_lhs": d.in_lhs,
-                "part1": vec_payload(d.part1),
-                "part2": vec_payload(d.part2),
-            }
-            for d in r.decompositions
-        ],
-    }
-
-
-def support_payload(sv: SupportValue) -> dict:
-    return {
-        "value": PLUS_INF if sv.value is None else str(sv.value),
-        "maximizer": vec_payload(sv.maximizer),
-        "ray": vec_payload(sv.ray),
-    }
-
-
-def infconv_payload(v: InfConvolutionValue) -> dict:
-    if v.kind == "finite":
-        value = str(v.value)
-    else:
-        value = PLUS_INF if v.kind == "plus-infinity" else MINUS_INF
-    return {
-        "kind": v.kind,
-        "value": value,
-        "witness1": vec_payload(v.witness1),
-        "witness2": vec_payload(v.witness2),
-    }

@@ -48,6 +48,7 @@ from .oracle import (
     random_pair_with_common_point,
     random_polytope,
 )
+from .report import payload
 
 SWEEP_NAMES = (
     "extremality-grid-agreement",
@@ -117,22 +118,8 @@ class SuiteResult:
 
     def to_payload(self) -> dict:
         """JSON-ready description, stable across identical runs."""
-        return {
-            "dims": list(self.dims),
-            "seed_range": list(self.seed_range),
-            "pair_count": self.pair_count,
-            "ok": self.ok,
-            "sweeps": [
-                {
-                    "name": s.name,
-                    "checked": s.checked,
-                    "ok": s.ok,
-                    "violations": list(s.violations),
-                    "details": dict(sorted(s.details.items())),
-                }
-                for s in self.sweeps
-            ],
-        }
+        return {**payload(self), "ok": self.ok,
+                "sweeps": [{**payload(s), "ok": s.ok} for s in self.sweeps]}
 
 
 class _Record:

@@ -6,6 +6,7 @@ the pinned tolerance is zero everywhere; the only numeric budget in
 this module is the two-minute wall clock on the extremality agreement
 corpus.
 """
+import hashlib
 import io
 import json
 import time
@@ -192,3 +193,13 @@ def test_criterion_9_determinism_of_full_suite_reports(suite_run):
     assert first_code == 0 and second_code == 0
     assert json.loads(first)["ok"] is True
     assert first == second
+
+
+# sha256 of the default `polyexact --json verify-suite` stdout
+SUITE_REPORT_SHA256 = "f677531978eb6d581e4e08d74245da66d754974fa35650e9dceaddcad37147f7"
+
+
+def test_default_suite_report_bytes_are_pinned(suite_run):
+    digest = hashlib.sha256(suite_run[1].encode("utf-8")).hexdigest()
+    print(f"suite report digest: {digest} (pinned {SUITE_REPORT_SHA256[:8]}…)")
+    assert digest == SUITE_REPORT_SHA256

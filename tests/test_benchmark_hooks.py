@@ -1,8 +1,9 @@
 """The names the benchmark hooks into still exist.
 
 perfbench/tracing.py wraps package functions by (module, attribute), and
-the workloads rebind two module globals of suite. A refactor that renames
-or moves one of them would otherwise show only in a traced benchmark run.
+the workloads rebind two module globals of suite and write their output
+through two report functions. A refactor that renames or moves one of
+them would otherwise show only in a traced benchmark run.
 The tracer is loaded by path and only read; installing it changes
 bindings in the package, and uninstalling must restore every one.
 """
@@ -13,7 +14,7 @@ import types
 from pathlib import Path
 
 import polyexact.cli
-from polyexact import suite
+from polyexact import report, suite
 from polyexact.sets import ConvexSet
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -86,3 +87,9 @@ def test_globals_the_workloads_rebind_exist():
     # maps them through suite.random_pair_with_common_point
     assert callable(suite._run_task)
     assert callable(suite.random_pair_with_common_point)
+
+
+def test_report_functions_the_workloads_call_exist():
+    # the extremality-dim4 workload writes its output through these two
+    assert callable(report.extremality_payload)
+    assert callable(report.separation_payload)

@@ -152,6 +152,31 @@ def test_deeply_nested_document_exits_2(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_document_not_in_utf8_exits_2(capsys, tmp_path):
+    doc = tmp_path / "bad.json"
+    doc.write_bytes(b"\xff")
+    code, out, err = run(capsys, "--json", "support", str(doc), "a", "1")
+    assert code == 2
+    assert json.loads(out)["result"]["error"]["kind"] == "input"
+    assert err.startswith("error: ")
+
+
+def test_utf8_document_loads_under_an_ascii_locale(tmp_path):
+    doc = tmp_path / "accent.json"
+    interval = {"kind": "hrep", "dim": 1, "ineqs": [{"normal": ["1"], "rhs": "1"}]}
+    doc.write_bytes(json.dumps({"sets": {"\u00e9": interval, "a": interval}},
+                               ensure_ascii=False).encode("utf-8"))
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, LC_ALL="C",
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    done = subprocess.run([sys.executable, "-m", "polyexact.cli", "--json", "support",
+                           str(doc), "a", "1"],
+                          capture_output=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["value"] == "1"
+
+
 def test_bad_rational_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check-extremal", "halfplanes", "lower", "upper",

@@ -17,12 +17,7 @@ from polyexact.extremality import (
 )
 from polyexact.instances import load_instance
 from polyexact.oracle import random_pair_with_common_point
-from polyexact.report import (
-    approx_ep_payload,
-    extremality_payload,
-    separation_payload,
-    vec_payload,
-)
+from polyexact.report import extremality_payload, payload
 from polyexact.suite import FIXTURE_PAIRS
 
 GOLDEN = Path(__file__).parent / "data" / "extremality_golden.json"
@@ -48,14 +43,14 @@ def golden_entries() -> list:
         entry = {
             "pair": label,
             "verdict": extremality_payload(verdict),
-            "separation": None if cert is None else separation_payload(cert),
+            "separation": payload(cert),
             "perturbation": None,
             "approx_ep": None,
         }
         if verdict.extremal:
-            entry["perturbation"] = vec_payload(find_perturbation(s1, s2, F(1, 3)))
+            entry["perturbation"] = payload(find_perturbation(s1, s2, F(1, 3)))
             if anchor is not None:
-                entry["approx_ep"] = approx_ep_payload(
+                entry["approx_ep"] = payload(
                     approximate_extremal_principle(s1, s2, anchor, F(1, 10)))
         entries.append(entry)
     return entries

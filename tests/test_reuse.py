@@ -172,9 +172,13 @@ def test_slice_counts_are_pinned(monkeypatch):
     phase one on its rows. While every caller built its own there were
     71 intersections and 54 such phase ones.
 
-    Every certificate is checked: 1,915 checks, 1,680 of them in the
+    Every certificate is checked: 1,898 checks, 1,663 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
-    them. They were 1,934 and 1,699 while each caller built its own
+    them. They were 1,915 and 1,680 while common_point ran a phase two
+    on a zero objective, with its check, after the prepared system had
+    already checked its phase-one point: each of the 17 slice pairs that
+    meet now reads that point and skips one phase two and its check.
+    They were 1,934 and 1,699 while each caller built its own
     intersection: support_intersection_theorem at the first probe now
     reads the kept intersection, whose support value there the sweep has
     already solved, so each of the 17 slice pairs that meet skips one
@@ -198,7 +202,7 @@ def test_slice_counts_are_pinned(monkeypatch):
     assert len(counts.reaches) == 105
     assert counts.make_cone == 91
     assert counts.memberships == 337
-    assert (counts.checks, counts.solver_checks) == (1915, 1680)
+    assert (counts.checks, counts.solver_checks) == (1898, 1663)
     assert counts.dd == 180
     assert len(counts.intersections) == 18
     assert all("lp_system" in s._memo for s in counts.intersections)
