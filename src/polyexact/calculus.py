@@ -46,7 +46,6 @@ from .linalg import (
     ZERO,
     Vec,
     combine,
-    is_zero_vec,
     linf_norm,
     over_one_denominator,
     unit_vec,
@@ -451,11 +450,6 @@ def inf_convolution_support(s1: ConvexSet, s2: ConvexSet, xstar) -> InfConvoluti
     if s1.is_empty() or s2.is_empty():
         raise PreconditionError("both sets must be nonempty")
     rows, signs = _pair_rows(s1, s2)
-    if not rows:
-        if is_zero_vec(g):
-            zero = zero_vec(s1.dim)
-            return InfConvolutionValue("finite", ZERO, zero, zero)
-        return InfConvolutionValue("plus-infinity", None, None, None)
     normals = [a for a, _ in rows]
     out = solve_lp(combination_program(normals, g, signs, costs=[b for _, b in rows]))
     if isinstance(out, LpInfeasible):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -68,12 +69,26 @@ def _dims_arg(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _utf8(arg: str) -> str:
+    """A name given on the command line, read as UTF-8 as instance
+    documents are (instances._read_document), whatever the locale:
+    under an ASCII locale Python decodes the argument's bytes as
+    surrogate escapes, and this decodes them again. An argument that
+    does not round-trip is kept as given. Printed lines keep the
+    argument as given, which an ASCII stdout can still write."""
+    try:
+        return os.fsencode(arg).decode("utf-8")
+    except UnicodeError:
+        return arg
+
+
 def _resolve(table: dict, text: str, what: str):
     """The vector named text in a document's table of points or of
     functionals, what being "point" or "functional", or else text read
     as a vector literal."""
-    if text in table:
-        return table[text]
+    name = _utf8(text)
+    if name in table:
+        return table[name]
     try:
         return parse_vector(text)
     except InputError:
@@ -93,7 +108,7 @@ def _set_summary(name: str, s) -> str:
 def _input_lines(args, doc, names) -> list[str]:
     if args.verbose < 1:
         return []
-    return [_set_summary(name, doc.get_set(name)) for name in names]
+    return [_set_summary(name, doc.get_set(_utf8(name))) for name in names]
 
 
 def _load_pair(args):
@@ -101,7 +116,7 @@ def _load_pair(args):
     instance, its sets args.set1 and args.set2, and the input lines that
     -v asks for."""
     doc = load_instance(args.file)
-    s1, s2 = doc.get_set(args.set1), doc.get_set(args.set2)
+    s1, s2 = doc.get_set(_utf8(args.set1)), doc.get_set(_utf8(args.set2))
     return doc, s1, s2, _input_lines(args, doc, (args.set1, args.set2))
 
 
@@ -186,7 +201,7 @@ def cmd_intersection_rule(args) -> rp.Report:
 
 def cmd_support(args) -> rp.Report:
     doc = load_instance(args.file)
-    s = doc.get_set(args.set)
+    s = doc.get_set(_utf8(args.set))
     g = _resolve(doc.functionals, args.functional, "functional")
     value = support_value(s, g)
     lines = _input_lines(args, doc, (args.set,))
@@ -231,14 +246,17 @@ def cmd_verify_suite(args) -> rp.Report:
 
 def cmd_plot(args) -> rp.Report:
     doc = load_instance(args.file)
-    named_sets = [(name, doc.get_set(name)) for name in args.names]
+    # the drawing is a UTF-8 file and the payload escapes what is not
+    # ASCII, so both name each set as its document does
+    names = [_utf8(name) for name in args.names]
+    sets = [doc.get_set(name) for name in names]
     lines = []
     points = []
     fans = []
     if args.cones_at is not None:
         point = _resolve(doc.points, args.cones_at, "point")
-        points.append((args.cones_at, point))
-        for index, (name, s) in enumerate(named_sets):
+        points.append((_utf8(args.cones_at), point))
+        for index, (name, s) in enumerate(zip(args.names, sets)):
             if not s.contains(point):
                 lines.append(f"no cone for {name}: the point lies outside it")
                 continue
@@ -248,11 +266,11 @@ def cmd_plot(args) -> rp.Report:
                          f"generators, {len(cone.lineality)} lineality")
     separator = None
     if args.separator is not None:
-        if len(named_sets) < 2:
+        if len(sets) < 2:
             raise InputError("--separator needs at least two sets")
         g = _resolve(doc.functionals, args.separator, "functional")
-        sup1 = support_value(named_sets[0][1], g)
-        neg = support_value(named_sets[1][1], vneg(g))
+        sup1 = support_value(sets[0], g)
+        neg = support_value(sets[1], vneg(g))
         if not (sup1.finite and neg.finite):
             raise PreconditionError(
                 "the functional is unbounded on a plotted set")
@@ -264,7 +282,7 @@ def cmd_plot(args) -> rp.Report:
         separator = (g, level)
         lines.append(f"separator drawn at {rp.human_vec(g)} . x = "
                      f"{rp.human_rat(level)}")
-    svg = render_scene(named_sets, points=points, cone_fans=fans,
+    svg = render_scene(list(zip(names, sets)), points=points, cone_fans=fans,
                        separator=separator, half_width=args.viewport)
     try:
         Path(args.out).write_text(svg, encoding="utf-8")
@@ -273,7 +291,7 @@ def cmd_plot(args) -> rp.Report:
     lines.insert(0, f"wrote {args.out} ({len(svg.encode('utf-8'))} bytes)")
     payload = {
         "out": args.out,
-        "sets": list(args.names),
+        "sets": names,
         "bytes": len(svg.encode("utf-8")),
     }
     return rp.Report("plot", True, payload, lines)

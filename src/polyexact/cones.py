@@ -8,15 +8,21 @@ unique, so two cones are equal as sets exactly when their canonical
 fields coincide, and cones_equal compares those fields. The lineality
 space and the extreme rays are read off one double description of the
 polar cone; the tests cross-check them against membership LPs.
+
+Membership reads the polar too: each cone keeps one prepared polar
+program, the LP dual of "x is a combination of the generators", in
+which x is only the objective (PolyhedralCone.contains).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 
 from . import dd
 from .errors import InternalError, PreconditionError
-from .lp import FREE, NONNEG, LpOptimal, combination_program, solve_lp
+from .lp import (FREE, NONNEG, LpInfeasible, LpOptimal, PreparedSystem, combination_program,
+                 make_program, solve_lp)
 from .linalg import (
     Vec,
     combine,
@@ -43,21 +49,17 @@ class PolyhedralCone:
     _members: dict = field(default_factory=dict, init=False, compare=False,
                            hash=False, repr=False)
     # (rays, lineality) of the polar cone, from the double description
-    # make_cone ran; not part of the cone's value
+    # make_cone ran, for cone_rows; not part of the cone's value
     _polar: tuple | None = field(default=None, compare=False, hash=False, repr=False)
-    # polar vectors already checked as witnesses of points outside
-    _checked: set = field(default_factory=set, init=False, compare=False,
-                          hash=False, repr=False)
 
     def contains(self, x) -> bool:
         """Membership, decided once per point and kept on the cone, so
-        asking a shared cone again decides nothing. A point outside is
-        answered from the polar (bipolar theorem, Rockafellar 1970,
-        section 14): a polar ray p with p.x > 0 or a polar lineality
-        vector l with l.x != 0. That vector is checked once per cone
-        against the generators and the lineality (_check_polar_witness).
-        A point inside is decided by one LP, whose verified combination
-        of the generators is the witness."""
+        asking a shared cone again decides nothing. x is decided by one
+        phase two of the objective -x on the cone's polar program
+        (polar_program), whose certificate is checked either way: an
+        optimal outcome's duals combine the generators and the lineality
+        into x, and an unbounded outcome's ray is a polar vector z with
+        x.z > 0 (bipolar theorem, Rockafellar 1970, section 14)."""
         x = vec(x)
         if len(x) != self.dim:
             return False
@@ -66,15 +68,20 @@ class PolyhedralCone:
         return self._members[x]
 
     def _decide(self, x: Vec) -> bool:
-        witness = _polar_witness(self.polar(), x)
-        if witness is not None:
-            if witness not in self._checked:
-                _check_polar_witness(self, *witness)
-                self._checked.add(witness)
-            return False
-        if not _conic_membership(self.generators, self.lineality, x):
-            raise InternalError("the polar misses a point outside the cone")
-        return True
+        out = self.polar_program.solve(vneg(x))
+        if isinstance(out, LpInfeasible):
+            raise InternalError("the polar program misses its feasible point 0")
+        return isinstance(out, LpOptimal)
+
+    @cached_property
+    def polar_program(self) -> PreparedSystem:
+        """The polar of the cone as a prepared system over free z: one
+        row g.z <= 0 per generator and l.z = 0 per lineality vector,
+        every right-hand side 0. Its phase one runs once per cone; x
+        enters only as the objective of each solve."""
+        return PreparedSystem(make_program(zero_vec(self.dim),
+                                           ineqs=[(g, 0) for g in self.generators],
+                                           eqs=[(l, 0) for l in self.lineality]))
 
     def polar(self) -> tuple:
         """(rays, lineality) of the polar cone, as make_cone kept them. A
@@ -90,42 +97,6 @@ class PolyhedralCone:
         return tuple(out)
 
 
-def _polar_witness(polar, x: Vec) -> tuple[Vec, bool] | None:
-    """(p, False) for a polar ray p with p.x > 0, else (l, True) for a
-    polar lineality vector l with l.x != 0, else None. Each test is an
-    int dot product, each vector scaled by a positive factor."""
-    rays, lin = polar
-    xs = integerize(x)
-    for p in rays:
-        if sum(map(mul, integerize(p), xs)) > 0:
-            return p, False
-    for l in lin:
-        if sum(map(mul, integerize(l), xs)):
-            return l, True
-    return None
-
-
-def _check_polar_witness(c: "PolyhedralCone", p: Vec, in_lineality: bool) -> None:
-    """InternalError unless p is in the polar of c: p.g <= 0 on every
-    generator g (= 0 when p is a polar lineality vector) and p.l = 0 on
-    every lineality vector l. Decided in integers, each vector scaled
-    by a positive factor."""
-    ps = integerize(p)
-    dots = [sum(map(mul, ps, integerize(g))) for g in c.generators]
-    if (any(d > 0 or (in_lineality and d) for d in dots)
-            or any(sum(map(mul, ps, integerize(l))) for l in c.lineality)):
-        raise InternalError("a polar vector fails the cone it would separate from")
-
-
-def _conic_membership(gens, lin, x: Vec) -> bool:
-    if is_zero_vec(x):
-        return True
-    if not gens and not lin:
-        return False
-    signs = [NONNEG] * len(gens) + [FREE] * len(lin)
-    return isinstance(solve_lp(combination_program(tuple(gens) + tuple(lin), x, signs)), LpOptimal)
-
-
 def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
     """Canonicalize cone(generators) + span(lineality).
 
@@ -136,8 +107,10 @@ def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
     Z(g) is all of P. The rest are reduced modulo that space, and a
     reduced generator is an extreme ray iff no other one h has Z(g)
     within Z(h). The cone keeps the polar's rays and lineality for
-    contains and cone_rows. Vectors of the wrong length raise
-    InputError, and the DD caps raise CapacityError.
+    cone_rows. Each reduced generator pruned as not extreme is asked of
+    the new cone (contains), and one outside it raises InternalError.
+    Vectors of the wrong length raise InputError, and the DD caps raise
+    CapacityError.
     """
     gens = [vec(g) for g in generators if not is_zero_vec(vec(g))]
     lin = [vec(l) for l in lineality if not is_zero_vec(vec(l))]
@@ -156,8 +129,11 @@ def make_cone(dim: int, generators=(), lineality=()) -> PolyhedralCone:
             reduced.setdefault(lead_normalized(reduce_mod_subspace(g, lin_rows, pivots)), z)
     extreme = [g for g, z in reduced.items()
                if not any(h != g and z & w == z for h, w in reduced.items())]
-    return PolyhedralCone(dim, tuple(sorted(extreme)),
+    cone = PolyhedralCone(dim, tuple(sorted(extreme)),
                           tuple(sorted(tuple(row) for row in lin_rows)), (polar, polar_lin))
+    if not all(cone.contains(g) for g in reduced if g not in extreme):
+        raise InternalError("make_cone pruned a generator outside the cone it kept")
+    return cone
 
 
 def cone_negate(c: PolyhedralCone) -> PolyhedralCone:
@@ -204,8 +180,6 @@ def cone_sum_decompose(a: PolyhedralCone, b: PolyhedralCone, x) -> tuple[Vec, Ve
     _same_dim(a, b)
     x = vec(x)
     cols = a.generators + a.lineality + b.generators + b.lineality
-    if not cols:
-        return (x, zero_vec(a.dim)) if is_zero_vec(x) else None
     signs = ([NONNEG] * len(a.generators) + [FREE] * len(a.lineality)
              + [NONNEG] * len(b.generators) + [FREE] * len(b.lineality))
     out = solve_lp(combination_program(cols, x, signs))

@@ -158,28 +158,24 @@ def hrep_to_generators(ineqs, eqs, dim: int):
     return tuple(points), tuple(recession), tuple(lin)
 
 
-def generators_to_hrep(points, rays, lineality, dim: int):
+def generators_to_hrep(points, rays, dim: int):
     """Inequality and equality rows describing the convex hull of the
-    points plus the cone of the rays and lineality directions.
+    points plus the cone of the rays.
 
     An empty point list means the empty set, encoded by a pair of
     contradictory rows.
     """
     if not points:
-        if rays or lineality:
+        if rays:
             raise InputError("recession directions without any point")
         e = unit_vec(dim, 0)
         return ((e, Fraction(-1)), (vec(tuple(-x for x in e)), Fraction(-1))), ()
-    _guard(dim, len(points) + len(rays) + len(lineality) + 1)
+    _guard(dim, len(points) + len(rays) + 1)
     rows: list[Vec] = []
     for p in points:
         rows.append(vec(tuple(p) + (Fraction(1),)))
     for r in rays:
         rows.append(vec(tuple(r) + (Fraction(0),)))
-    for l in lineality:
-        h = vec(tuple(l) + (Fraction(0),))
-        rows.append(h)
-        rows.append(tuple(-x for x in h))
     polar_rays, polar_lin = cone_from_inequalities(rows, dim + 1)
     ineqs = [(y[:dim], -y[dim]) for y in polar_rays]
     eqs = [(y[:dim], -y[dim]) for y in polar_lin]

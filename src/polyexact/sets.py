@@ -11,7 +11,8 @@ rescales, deduplicates and sorts, so equal sets have equal canonical
 forms and reports stay byte-stable. The result is checked in integers
 against the generators before use (check_facets). A set described by
 generators runs that double description once, for hrep() and the
-canonical rows alike.
+canonical rows alike, and a set described by rows runs the one back to
+generators once, for vrep() and the canonical generators alike.
 
 Point tests run in integers on rows cleared once per set: integer_rows()
 is the lp.IntegerRows of hrep(), and contains (on a set that holds
@@ -25,16 +26,17 @@ answers contains with one LP and derives no rows for it.
 Sets are immutable, so what is derived from them is kept on them.
 cached() holds results of one set by key: the integer rows, the
 prepared LP system of the rows (simplex phase one, run once; see
-lp.PreparedSystem), the rows of the double description, the canonical
-forms, whether the set is bounded, the normal cone at each point asked
-and the support value of each functional asked. Emptiness is read off
-that phase one, and support values share it. cached_with() holds results
-of a pair for the set's last partner, compared by identity: A & B,
-A - B, the pair's prepared gauge program (see calculus._reach_system)
-and its reaches along the cube's corners and axes, so the questions
-asked of one pair share one A & B and one A - B, each with one phase
-one, and solve each direction once. Another partner evicts them all,
-so a one-off pairing is asked of the one-off set.
+lp.PreparedSystem), the rows and the generators of the double
+descriptions, the canonical forms, whether the set is bounded, the
+normal cone at each point asked and the support value of each
+functional asked. Emptiness is read off that phase one, and support
+values share it. cached_with() holds results of a pair for the set's
+last partner, compared by identity: A & B, A - B, the pair's prepared
+gauge program (see calculus._reach_system) and its reaches along the
+cube's corners and axes, so the questions asked of one pair share one
+A & B and one A - B, each with one phase one, and solve each direction
+once. Another partner evicts them all, so a one-off pairing is asked of
+the one-off set.
 """
 from __future__ import annotations
 
@@ -178,13 +180,18 @@ class ConvexSet:
 
     def vrep(self) -> VRep:
         if self._vrep is None:
-            with self._lock:
-                if self._vrep is None:
-                    h = self._hrep
-                    pts, rays, lin = dd.hrep_to_generators(h.ineqs, h.eqs, h.dim)
-                    expanded = tuple(rays) + tuple(lin) + tuple(vneg(l) for l in lin)
-                    self._vrep = make_vrep(h.dim, pts, expanded)
+            self._vrep = self._hull_generators()
         return self._vrep
+
+    def _hull_generators(self) -> VRep:
+        """The generators of one double description of hrep(), run once
+        per set, the lineality as rays in both signs. vrep() of a set of
+        rows and the canonical generators both read it."""
+        def build():
+            h = self.hrep()
+            pts, rays, lin = dd.hrep_to_generators(h.ineqs, h.eqs, self.dim)
+            return make_vrep(self.dim, pts, rays + lin + tuple(vneg(l) for l in lin))
+        return self.cached("hull_generators", build)
 
     def _facet_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
         """(ineqs, eqs): the rows of one double description of vrep(),
@@ -194,7 +201,7 @@ class ConvexSet:
         of the affine hull."""
         def build():
             v = self.vrep()
-            return dd.generators_to_hrep(v.vertices, v.rays, (), v.dim)
+            return dd.generators_to_hrep(v.vertices, v.rays, v.dim)
         return self.cached("facet_rows", build)
 
     def lp_system(self) -> PreparedSystem:
@@ -454,14 +461,9 @@ class ConvexSet:
         return h
 
     def _build_canonical_vrep(self) -> VRep:
-        h = self.hrep()
-        pts, rays, lin = dd.hrep_to_generators(h.ineqs, h.eqs, self.dim)
-        dirs = []
-        for r in tuple(rays) + tuple(lin) + tuple(vneg(l) for l in lin):
-            c = lead_normalized(r)
-            if c not in dirs:
-                dirs.append(c)
-        return VRep(self.dim, tuple(sorted(pts)), tuple(sorted(dirs)))
+        v = self._hull_generators()
+        dirs = dict.fromkeys(map(lead_normalized, v.rays))
+        return VRep(self.dim, tuple(sorted(v.vertices)), tuple(sorted(dirs)))
 
     # -- helpers ------------------------------------------------------------
 

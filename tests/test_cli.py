@@ -161,20 +161,50 @@ def test_document_not_in_utf8_exits_2(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
-def test_utf8_document_loads_under_an_ascii_locale(tmp_path):
+def _accent_document(tmp_path) -> Path:
+    """A UTF-8 instance with the sets "\u00e9" and "a" and the functional
+    "\u00fc"."""
     doc = tmp_path / "accent.json"
     interval = {"kind": "hrep", "dim": 1, "ineqs": [{"normal": ["1"], "rhs": "1"}]}
-    doc.write_bytes(json.dumps({"sets": {"\u00e9": interval, "a": interval}},
+    doc.write_bytes(json.dumps({"sets": {"\u00e9": interval, "a": interval},
+                                "functionals": {"\u00fc": ["2"]}},
                                ensure_ascii=False).encode("utf-8"))
+    return doc
+
+
+def _run_cli(*argv, ascii_locale=True):
+    """The CLI in a subprocess, under an ASCII locale that Python does
+    not coerce, or else in UTF-8 mode."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, LC_ALL="C",
-               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-    done = subprocess.run([sys.executable, "-m", "polyexact.cli", "--json", "support",
-                           str(doc), "a", "1"],
-                          capture_output=True, timeout=60, env=env)
+    locale = (dict(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0") if ascii_locale
+              else dict(PYTHONUTF8="1"))
+    return subprocess.run([sys.executable, "-m", "polyexact.cli", *argv],
+                          capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=path,
+                                                                    **locale))
+
+
+def test_utf8_document_loads_under_an_ascii_locale(tmp_path):
+    done = _run_cli("--json", "support", str(_accent_document(tmp_path)), "a", "1")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["result"]["value"] == "1"
+
+
+@pytest.mark.parametrize("flags", [(), ("-v",), ("--json",)], ids=["plain", "verbose", "json"])
+def test_non_ascii_names_are_found_under_an_ascii_locale(tmp_path, flags):
+    # the set and the functional are named in UTF-8 on the command line;
+    # the output is the same bytes as in UTF-8 mode, the -v line naming
+    # the set as given
+    argv = (*flags, "support", str(_accent_document(tmp_path)), "\u00e9", "\u00fc")
+    done = _run_cli(*argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    assert done.stdout == _run_cli(*argv, ascii_locale=False).stdout
+    if flags == ("--json",):
+        assert json.loads(done.stdout)["result"]["value"] == "2"
+    else:
+        assert b"support value: 2\n" in done.stdout
+        assert done.stdout.startswith("\u00e9: dim 1".encode()) == (flags == ("-v",))
 
 
 def test_bad_rational_flag_exits_2(capsys):

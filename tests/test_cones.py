@@ -26,10 +26,12 @@ from polyexact.cones import (
     normal_cone,
 )
 from polyexact.errors import CapacityError, InputError, InternalError, PreconditionError
-from polyexact.linalg import dot, rank, vec, vneg
+from polyexact.linalg import combine, dot, rank, vec, vneg, vsub
+from polyexact.lp import LpOptimal, LpUnbounded
 from polyexact.oracle import random_polytope
 from polyexact.sets import ConvexSet
-from cone_reference import reference_cones_equal, reference_make_cone, reference_normal_cone
+from cone_reference import (reference_cones_equal, reference_make_cone, reference_membership,
+                            reference_normal_cone)
 from definition_oracles import definition_normal_cone_oracle, is_trivial
 
 
@@ -309,31 +311,24 @@ def test_dd_caps_apply(monkeypatch, cap):
 
 
 def test_contains_solves_each_point_once(monkeypatch):
-    solved, checked = [], []
-    membership = cones._conic_membership
-    check = cones._check_polar_witness
+    solved = []
+    decide = cones.PolyhedralCone._decide
 
-    def counted(gens, lin, x):
+    def counted(c, x):
         solved.append(x)
-        return membership(gens, lin, x)
-
-    def counted_check(c, p, in_lineality):
-        checked.append(p)
-        check(c, p, in_lineality)
+        return decide(c, x)
 
     c = make_cone(2, generators=[(1, 0), (0, 1)])
     twin = make_cone(2, generators=[(0, 1), (1, 0)])
-    monkeypatch.setattr(cones, "_conic_membership", counted)
-    monkeypatch.setattr(cones, "_check_polar_witness", counted_check)
+    monkeypatch.setattr(cones.PolyhedralCone, "_decide", counted)
     for _ in range(3):
         assert c.contains((1, 2)) and c.contains((F(1), F(2)))
         assert not c.contains((-1, 0)) and not c.contains((-2, 5))
         assert not c.contains((1, 2, 3))
-    # a point inside is solved once; points outside are answered by the
-    # polar ray (-1, 0), which is checked once
-    assert solved == [vec((1, 2))]
-    assert checked == [vec((-1, 0))]
-    # the kept answers are not part of the cone's value
+    # each point is solved once, inside or outside, on one polar program
+    assert solved == [vec((1, 2)), vec((-1, 0)), vec((-2, 5))]
+    assert c.polar_program is c.polar_program
+    # the kept answers and program are not part of the cone's value
     assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
 
 
@@ -349,19 +344,25 @@ def _sample_points(dim, gens, lin, rng):
 
 
 def _assert_polar_answers(c, gens, lin, points):
-    """contains agrees with the membership LP at each point, and each
-    polar witness separates the point from every input vector."""
+    """contains agrees with the reference membership LP at each point.
+    Each answer's certificate is read again off the polar program: inside,
+    its duals combine the cone's generators and lineality into x; outside,
+    its ray z has g.z <= 0 on every input generator g, l.z = 0 on every
+    input lineality vector l, and x.z > 0."""
     for x in map(vec, points):
-        want = cones._conic_membership(c.generators, c.lineality, x)
+        want = reference_membership(c.generators, c.lineality, x)
         assert c.contains(x) == want, (c, x)
         assert cone_negate(c).contains(vneg(x)) == want, (c, x)
-        witness = cones._polar_witness(c._polar, x)
-        assert (witness is None) == want, (c, x)
-        if witness is not None:
-            p, in_lineality = witness
-            assert dot(p, x) > 0 or (in_lineality and dot(p, x))
-            assert all(dot(p, g) <= 0 and not (in_lineality and dot(p, g)) for g in map(vec, gens))
-            assert all(not dot(p, l) for l in map(vec, lin))
+        out = c.polar_program.solve(vneg(x))
+        assert isinstance(out, LpOptimal if want else LpUnbounded), (c, x)
+        if want:
+            inside = combine(out.dual_ineq, c.generators, c.dim)
+            assert vsub(inside, combine(out.dual_eq, c.lineality, c.dim)) == x
+        else:
+            z = out.ray
+            assert dot(z, x) > 0
+            assert all(dot(z, g) <= 0 for g in map(vec, gens))
+            assert all(not dot(z, l) for l in map(vec, lin))
 
 
 def test_polar_answers_match_membership_lps_on_random_sets():
@@ -374,7 +375,7 @@ def test_polar_answers_match_membership_lps_on_random_sets():
         _assert_polar_answers(c, gens, lin, points)
         outside += sum(not c.contains(x) for x in points)
         if seed < 40:
-            # a cone built by hand runs its polar's double description
+            # a cone built by hand, with no polar kept, answers the same
             by_hand = PolyhedralCone(dim, c.generators, c.lineality)
             assert [by_hand.contains(x) for x in points] == [c.contains(x) for x in points]
     assert outside > 500
@@ -390,11 +391,10 @@ def test_polar_answers_match_membership_lps_on_suite_questions(monkeypatch):
 
     monkeypatch.setattr(cones.PolyhedralCone, "_decide", recorded)
     assert suite.run_suite(dims=(2, 3), seed_range=(1, 4), lp_count=10, boundary_count=10).ok
-    answers = [(c, x, decide(c, x)) for c, x in asked]
-    assert sum(not a for _, _, a in answers) > 100
-    for c, x, answer in answers:
-        assert c._polar is not None
-        assert answer == cones._conic_membership(c.generators, c.lineality, x), (c, x)
+    monkeypatch.undo()
+    assert sum(not c.contains(x) for c, x in asked) > 100
+    for c, x in asked:
+        _assert_polar_answers(c, c.generators, c.lineality, [x])
 
 
 @PROPERTY
@@ -407,29 +407,14 @@ def test_polar_answers_match_membership_lps(inputs, data):
     _assert_polar_answers(make_cone(dim, gens, lin), gens, lin, points)
 
 
-@pytest.mark.parametrize("gens, lin, rays, polar_lin, x", [
-    # the polar ray (1, -1) is positive on the generator (1, 0)
-    ([(1, 0), (0, 1)], [], [(1, -1), (0, -1)], [], (1, 0)),
-    # the polar lineality vector (1, 1) meets the generator (1, 0)
-    ([(1, 0)], [(0, 1)], [(-1, 0)], [(1, 1)], (1, 0)),
-    # the polar lineality vector (-1, 1) is negative on the generator (1, 0)
-    ([(1, 0)], [], [(-1, 0)], [(-1, 1)], (0, 1)),
-    # the polar ray (0, 1) meets the lineality (0, 1)
-    ([(1, 0)], [(0, 1)], [(-1, 0), (0, 1)], [], (0, 1)),
-], ids=["ray-fails-generator", "lineality-fails-generator", "lineality-below-generator",
-        "ray-fails-lineality"])
-def test_tampered_polar_witness_raises(gens, lin, rays, polar_lin, x):
-    c = make_cone(2, gens, lin)
-    polar = (tuple(map(vec, rays)), tuple(map(vec, polar_lin)))
-    bad = PolyhedralCone(2, c.generators, c.lineality, polar)
-    with pytest.raises(InternalError, match="polar vector"):
-        bad.contains(x)
-
-
-def test_polar_missing_a_row_raises():
-    # the quadrant's polar with its ray (0, -1) dropped
-    c = make_cone(2, generators=[(1, 0), (0, 1)])
-    bad = PolyhedralCone(2, c.generators, c.lineality, ((vec((-1, 0)),), ()))
-    assert not bad.contains((-1, 0))
-    with pytest.raises(InternalError, match="misses"):
-        bad.contains((0, -1))
+def test_polar_missing_a_row_raises(monkeypatch):
+    # the polar of the square cone with one facet row dropped: the two
+    # generators on that facet then look dominated, and make_cone, asking
+    # the cone it kept about each one it pruned, finds them outside
+    square = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
+    assert len(make_cone(3, square).generators) == 4
+    polar = dd.cone_from_inequalities
+    monkeypatch.setattr(dd, "cone_from_inequalities",
+                        lambda rows, dim: (polar(rows, dim)[0][1:], ()))
+    with pytest.raises(InternalError, match="pruned"):
+        make_cone(3, square)

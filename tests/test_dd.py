@@ -14,7 +14,7 @@ from polyexact import dd
 from polyexact.dd import cone_from_inequalities, generators_to_hrep, hrep_to_generators
 from polyexact.errors import CapacityError, InputError
 from polyexact.lp import LpOptimal, NONNEG, make_program, solve_lp
-from polyexact.linalg import dot, integerize, rank, unit_vec, vec
+from polyexact.linalg import dot, integerize, rank, unit_vec, vec, vneg
 from polyexact.oracle import random_pair_with_common_point
 from polyexact.sets import ConvexSet
 
@@ -47,7 +47,7 @@ def test_unit_square_vertices():
 
 def test_square_hrep_from_vertices():
     pts = [vec(p) for p in [(0, 0), (1, 0), (0, 1), (1, 1)]]
-    ineqs, eqs = generators_to_hrep(pts, [], [], 2)
+    ineqs, eqs = generators_to_hrep(pts, [], 2)
     assert eqs == ()
     assert len(ineqs) == 4
     for x in [(F(1, 2), F(1, 2)), (0, 0), (1, 1)]:
@@ -82,13 +82,13 @@ def test_empty_polyhedron():
 
 
 def test_empty_generator_set_gives_contradictory_rows():
-    ineqs, eqs = generators_to_hrep([], [], [], 2)
+    ineqs, eqs = generators_to_hrep([], [], 2)
     assert not satisfies(ineqs, eqs, vec((0, 0)))
 
 
 def test_rays_without_points_rejected():
     with pytest.raises(InputError):
-        generators_to_hrep([], [vec((1, 0))], [], 2)
+        generators_to_hrep([], [vec((1, 0))], 2)
 
 
 def test_dimension_cap():
@@ -102,7 +102,8 @@ def test_unbounded_wedge_roundtrip():
     assert pts == ((0, 0, 0),)
     assert rays == ((-1, 0, 0),)
     assert len(lin) == 2
-    ineqs, eqs = generators_to_hrep(pts, rays, lin, 3)
+    # the lineality enters as rays in both signs
+    ineqs, eqs = generators_to_hrep(pts, rays + lin + tuple(map(vneg, lin)), 3)
     assert eqs == ()
     assert [(tuple(a), b) for a, b in ineqs] == [((1, 0, 0), 0)]
 
@@ -133,7 +134,7 @@ def test_random_roundtrips_agree_with_lp_membership():
         assert rays == () and lin == ()
         for p in pts:
             assert satisfies(rows, [], p)
-        back_i, back_e = generators_to_hrep(pts, rays, lin, dim)
+        back_i, back_e = generators_to_hrep(pts, rays, dim)
         for _ in range(10):
             x = vec(tuple(F(rng.randint(-6, 6), 2) for _ in range(dim)))
             a = satisfies(rows, [], x)

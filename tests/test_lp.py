@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from polyexact import cones
 from polyexact import lp as lp_module
-from polyexact.calculus import difference_interiority, standard_probes
-from polyexact.cones import normal_cone
+from polyexact.calculus import (InfConvolutionValue, difference_interiority,
+                                 inf_convolution_support, standard_probes)
+from polyexact.cones import cone_sum_decompose, make_cone, normal_cone
 from polyexact.errors import CapacityError, InputError, InternalError
-from polyexact.linalg import vneg, zero_vec
+from polyexact.linalg import unit_vec, vneg, zero_vec
 from polyexact.lp import (
     FREE,
     NONNEG,
@@ -31,6 +32,7 @@ from polyexact.lp import (
     LpOptimal,
     LpUnbounded,
     PreparedSystem,
+    combination_program,
     make_program,
     solve_lp,
     verify_certificate,
@@ -117,6 +119,26 @@ def test_empty_program_is_feasible_at_origin():
     assert isinstance(out, LpOptimal)
     assert out.point == (0, 0)
     assert out.value == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_combination_program_without_columns(dim):
+    # no columns combine to the target 0 alone, at value 0, and to no
+    # other target, with a checked Farkas vector; so the trivial cone and
+    # a pair of sets with no rows need no case of their own
+    zero = zero_vec(dim)
+    out = solve_lp(combination_program([], zero, []))
+    assert isinstance(out, LpOptimal) and out.point == () and out.value == 0
+    trivial, whole = make_cone(dim), ConvexSet.from_hrep(dim)
+    assert cone_sum_decompose(trivial, trivial, zero) == (zero, zero)
+    assert inf_convolution_support(whole, whole, zero) == InfConvolutionValue(
+        "finite", 0, zero, zero)
+    for t in [unit_vec(dim, j, sign) for j in range(dim) for sign in (1, -1)]:
+        program = combination_program([], t, [])
+        out = solve_lp(program)
+        assert isinstance(out, LpInfeasible) and verify_certificate(program, out)
+        assert cone_sum_decompose(trivial, trivial, t) is None
+        assert inf_convolution_support(whole, whole, t).kind == "plus-infinity"
 
 
 def test_unbounded_through_equality():

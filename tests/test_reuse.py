@@ -27,8 +27,9 @@ def _rebind(monkeypatch, module, name, wrapper):
 class Counts:
     """Counting wrappers on minkowski, the builds of kept intersections,
     the gauge programs and the reaches along each direction,
-    normal_cone, make_cone, the conic membership LPs, the double
-    descriptions and the certificate checks, in the solver and in all.
+    normal_cone, make_cone, the membership solves on the cones' polar
+    programs, the double descriptions and the certificate checks, in
+    the solver and in all.
     Arguments are kept alive, so object identities stay unique for the
     whole run."""
 
@@ -50,7 +51,7 @@ class Counts:
         reach = calculus._reach_along
         make_cone = cones.make_cone
         normal_cone = cones.normal_cone
-        membership = cones._conic_membership
+        decide = cones.PolyhedralCone._decide
         cone_from_inequalities = dd.cone_from_inequalities
         verify_certificate = lp.verify_certificate
         solver_check = lp._check
@@ -89,9 +90,9 @@ class Counts:
             finally:
                 self._in_normal_cone.pop()
 
-        def counted_membership(gens, lin, x):
+        def counted_decide(c, x):
             self.memberships += 1
-            return membership(gens, lin, x)
+            return decide(c, x)
 
         def counted_dd(*args):
             self.dd += 1
@@ -114,7 +115,7 @@ class Counts:
         _rebind(monkeypatch, calculus, "_reach_along", counted_reach)
         _rebind(monkeypatch, cones, "make_cone", counted_make_cone)
         _rebind(monkeypatch, cones, "normal_cone", counted_normal_cone)
-        _rebind(monkeypatch, cones, "_conic_membership", counted_membership)
+        monkeypatch.setattr(cones.PolyhedralCone, "_decide", counted_decide)
 
 
 @pytest.mark.parametrize("task", [
@@ -156,53 +157,62 @@ def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
 
 
 def test_slice_counts_are_pinned(monkeypatch):
-    """Counts on the 12-seed planar slice: 18 Minkowski sums (one per
-    pair task), 105 reaches along a direction, 91 canonicalized cones
-    and 337 conic membership LPs, all of them asked by contains about
-    points inside. Before the sharing they were 64, 302, 327 and 2,078;
-    before contains kept its answers there were 1,242 membership LPs,
-    874 while make_cone still canonicalized by membership LPs, 572 while
-    intersection_rule held a left cone equal to a summand as a distinct
-    object, and 515 while points outside were decided by LP too. The
-    reaches run on 18 gauge programs, one per task's ordered pair; there
-    were 145 reaches on 28 systems while the unit window of each
-    interior pair was solved again instead of checked.
+    """Counts on the 12-seed planar slice: 18 Minkowski sums (one per pair
+    task), 105 reaches along a direction, 91 canonicalized cones and 523
+    membership solves on the cones' polar programs: 333 points inside,
+    178 outside and the 12 generators make_cone pruned, asked of the
+    cone it kept (4 of them asked again later, and answered from the
+    cone). There were 337 membership questions decided by LP, all about
+    points inside, while points outside were answered by a polar vector
+    of the double description. Before the sharing they were 64, 302, 327
+    and 2,078; before contains kept its answers there were 1,242
+    membership LPs, 874 while make_cone still canonicalized by
+    membership LPs, 572 while intersection_rule held a left cone equal
+    to a summand as a distinct object, and 515 while points outside were
+    decided by LP too. The reaches run on 18 gauge programs, one per
+    task's ordered pair; there were 145 reaches on 28 systems while the
+    unit window of each interior pair was solved again instead of
+    checked.
 
     The 18 tasks build 18 intersections, one per task, each with one
     phase one on its rows. While every caller built its own there were
     71 intersections and 54 such phase ones.
 
-    Every certificate is checked: 1,898 checks, 1,663 of them in the
+    Every certificate is checked: 2,109 checks, 1,874 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
-    them. They were 1,915 and 1,680 while common_point ran a phase two
-    on a zero objective, with its check, after the prepared system had
-    already checked its phase-one point: each of the 17 slice pairs that
-    meet now reads that point and skips one phase two and its check.
-    They were 1,934 and 1,699 while each caller built its own
-    intersection: support_intersection_theorem at the first probe now
-    reads the kept intersection, whose support value there the sweep has
-    already solved, so each of the 17 slice pairs that meet skips one
-    support solve with its check, and the disjoint pair skips two phase
-    ones, each ending in a checked Farkas outcome. They were 1,917 and
-    1,682 while the reach program ran over (x1, delta) and found its
-    common point in its own phase one; the gauge program takes one
-    common-point solve, with its check, for each of the 17 slice pairs
-    that meet. They were 2,313 and 2,078 while the window, the segment reach
-    and the points outside cones were solved, and 2,092 and 1,857 while
-    each support value was solved again on every request (750 support
-    phase twos, now 546; a bounded check, kept per set, adds 26). There
-    are 180 double descriptions. They were 214 while meets_interior
-    canonicalized the second set of each pair (17 canonical forms, two
-    DDs each), 189 while cone_rows ran again the polar DD that make_cone
-    had run, and 162 while canonical_hrep solved LPs instead (2,530
-    checks in the solver)."""
+    them. They were 1,898 and 1,663 while points outside a cone were
+    answered by a polar vector checked once per cone, and the origin,
+    asked 25 times, was in every cone with no LP solved: each of the 523
+    membership solves is now a phase two with a checked certificate,
+    against 312 LPs before. They were 1,915 and 1,680 while common_point
+    ran a phase two on a zero objective, with its check, after the
+    prepared system had already checked its phase-one point: each of the
+    17 slice pairs that meet now reads that point and skips one phase
+    two and its check. They were 1,934 and 1,699 while each caller built
+    its own intersection: support_intersection_theorem at the first
+    probe now reads the kept intersection, whose support value there the
+    sweep has already solved, so each of the 17 slice pairs that meet
+    skips one support solve with its check, and the disjoint pair skips
+    two phase ones, each ending in a checked Farkas outcome. They were
+    1,917 and 1,682 while the reach program ran over (x1, delta) and
+    found its common point in its own phase one; the gauge program takes
+    one common-point solve, with its check, for each of the 17 slice
+    pairs that meet. They were 2,313 and 2,078 while the window, the
+    segment reach and the points outside cones were solved, and 2,092
+    and 1,857 while each support value was solved again on every request
+    (750 support phase twos, now 546; a bounded check, kept per set,
+    adds 26). There are 180 double descriptions. They were 214 while
+    meets_interior canonicalized the second set of each pair (17
+    canonical forms, two DDs each), 189 while cone_rows ran again the
+    polar DD that make_cone had run, and 162 while canonical_hrep solved
+    LPs instead (2,530 checks in the solver)."""
     counts = Counts(monkeypatch)
     assert suite.run_suite(**SLICE).ok
     assert counts.minkowski == 18
     assert len(counts.reaches) == 105
     assert counts.make_cone == 91
-    assert counts.memberships == 337
-    assert (counts.checks, counts.solver_checks) == (1898, 1663)
+    assert counts.memberships == 523
+    assert (counts.checks, counts.solver_checks) == (2109, 1874)
     assert counts.dd == 180
     assert len(counts.intersections) == 18
     assert all("lp_system" in s._memo for s in counts.intersections)
