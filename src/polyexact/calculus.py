@@ -10,8 +10,10 @@ intersection against the infimal convolution of the individual
 supports, with witnesses that attain the convolution exactly.
 
 Every verdict is an exact rational computation: interiority claims are
-certified by corner decompositions of a small cube, and both sides of
-each identity come from independently solved linear programs. How far
+certified by corner decompositions of a small cube. The infimal
+convolution is the LP dual of the intersection's support program, so
+it is read off that program's checked duals, and its witnesses are
+checked by attainment on each set's own prepared system. How far
 the difference reaches along a direction d is min(1, 1/gamma(d)), where
 gamma is the gauge of A - B: the largest z.d over the polar, the z with
 sigma_A(z) + sigma_B(-z) <= 1 (Rockafellar 1970, sections 14-15). That
@@ -396,23 +398,30 @@ class SupportValue:
 
 
 def support_value(s: ConvexSet, xstar) -> SupportValue:
-    """Supremum of the functional over the set, by one phase two on its
-    prepared system, kept on the set per functional (ConvexSet.cached)."""
+    """Supremum of the functional over the set, read off the checked
+    outcome of its support program (_support_outcome)."""
     g = vec(xstar)
     if len(g) != s.dim:
         raise InputError("functional dimension does not match the set")
     if s.is_empty():
         raise PreconditionError("support of the empty set")
-    return s.cached(("support_value", g), partial(_solve_support, s, g))
-
-
-def _solve_support(s: ConvexSet, g: Vec) -> SupportValue:
-    out = s.lp_system().solve(vneg(g))
+    out = _support_outcome(s, g)
     if isinstance(out, LpOptimal):
         return SupportValue(-out.value, out.point, None)
-    if isinstance(out, LpUnbounded):
-        return SupportValue(None, None, out.ray)
-    raise InternalError("a nonempty set cannot have an infeasible support program")
+    return SupportValue(None, None, out.ray)
+
+
+def _support_outcome(s: ConvexSet, g: Vec) -> LpOptimal | LpUnbounded:
+    """The checked outcome of min -g.x over a nonempty set, one phase two
+    on its prepared system, kept whole on the set per functional
+    (ConvexSet.cached): support_value reads its point or ray, and
+    inf_convolution_support its duals."""
+    def solve():
+        out = s.lp_system().solve(vneg(g))
+        if isinstance(out, LpInfeasible):
+            raise InternalError("a nonempty set cannot have an infeasible support program")
+        return out
+    return s.cached(("support", g), solve)
 
 
 @dataclass(frozen=True)
@@ -438,28 +447,47 @@ KIND_ORDER = {"minus-infinity": -1, "finite": 0, "plus-infinity": 1}
 def inf_convolution_support(s1: ConvexSet, s2: ConvexSet, xstar) -> InfConvolutionValue:
     """Infimal convolution of the two support functions at a functional.
 
-    One linear program over multipliers of both row systems: minimize
-    the combined right hand sides subject to the combined row normals
-    recombining to the functional. Row multipliers for inequalities are
-    nonnegative, those for equalities are free. The witnesses are the
-    two halves of that recombination."""
+    Its program, min sum_k y_k b_k over multipliers of both sets' rows
+    (nonnegative on inequalities, free on equalities) with
+    sum_k y_k a_k = g, is the LP dual of the intersection's support
+    program at g (Rockafellar 1970, Theorem 16.4), so it is read off the
+    kept outcome of that program (_support_outcome). Unbounded is plus
+    infinity; optimal has value -out.value and the split of its checked
+    duals, w1 = sum y_k a_k - sum z_k e_k over s1's rows, which lead
+    each block that intersect stacks, and w2 = g - w1. A disjoint pair's
+    dual is unbounded or infeasible: minus infinity iff the rows combine
+    to g at all (one zero-cost combination_program). Emptiness of either
+    set is asked only then."""
     check_same_dim(s1, s2)
     g = vec(xstar)
     if len(g) != s1.dim:
         raise InputError("functional dimension does not match the sets")
-    if s1.is_empty() or s2.is_empty():
-        raise PreconditionError("both sets must be nonempty")
-    rows, signs = _pair_rows(s1, s2)
-    normals = [a for a, _ in rows]
-    out = solve_lp(combination_program(normals, g, signs, costs=[b for _, b in rows]))
-    if isinstance(out, LpInfeasible):
-        return InfConvolutionValue("plus-infinity", None, None, None)
+    joint = s1.intersect(s2)
+    if joint.is_empty():
+        if s1.is_empty() or s2.is_empty():
+            raise PreconditionError("both sets must be nonempty")
+        rows, signs = _pair_rows(s1, s2)
+        out = solve_lp(combination_program([a for a, _ in rows], g, signs))
+        kind = "plus-infinity" if isinstance(out, LpInfeasible) else "minus-infinity"
+        return InfConvolutionValue(kind, None, None, None)
+    out = _support_outcome(joint, g)
     if isinstance(out, LpUnbounded):
-        return InfConvolutionValue("minus-infinity", None, None, None)
+        return InfConvolutionValue("plus-infinity", None, None, None)
     h1 = s1.hrep()
-    k1 = len(h1.ineqs) + len(h1.eqs)
-    w1 = combine(out.point[:k1], normals[:k1], s1.dim)
-    return InfConvolutionValue("finite", out.value, w1, vsub(g, w1))
+    m1, e1 = len(h1.ineqs), len(h1.eqs)
+    weights = out.dual_ineq[:m1] + tuple(-z for z in out.dual_eq[:e1])
+    w1 = combine(weights, [a for a, _ in h1.ineqs + h1.eqs], s1.dim)
+    return InfConvolutionValue("finite", -out.value, w1, vsub(g, w1))
+
+
+def _attains(s1: ConvexSet, s2: ConvexSet, conv: InfConvolutionValue) -> bool:
+    """Whether the witnesses of a finite convolution attain its value,
+    sigma_s1(w1) + sigma_s2(w2) = value, each support solved on its own
+    set's prepared system. With w1 + w2 = g that proves the value is
+    the convolution, which is never below the intersection's support."""
+    sv1 = support_value(s1, conv.witness1)
+    sv2 = support_value(s2, conv.witness2)
+    return sv1.finite and sv2.finite and sv1.value + sv2.value == conv.value
 
 
 @dataclass(frozen=True)
@@ -488,11 +516,13 @@ class SupportIntersectionVerdict:
 def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> SupportIntersectionVerdict:
     """Evaluate the intersection support identity at one functional.
 
-    Both sides are computed by independent programs. Under the checked
-    hypotheses the identity and the attainment of the convolution by its
-    witnesses are asserted, and a failure raises InternalError rather
-    than reporting a false verdict. Without the hypotheses only the
-    universal inequality is asserted."""
+    The convolution is read off the intersection's support program
+    (inf_convolution_support), so the sides are not compared as two
+    programs: a finite convolution must be attained by its witnesses on
+    each set's own prepared system (_attains), and a failure raises
+    InternalError rather than reporting a false verdict. Under the
+    checked hypotheses the identity is asserted as well, and attained
+    is then reported; the universal inequality is always asserted."""
     check_same_dim(s1, s2)
     g = vec(xstar)
     if len(g) != s1.dim:
@@ -513,17 +543,14 @@ def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> Support
     else:
         equal = lhs_kind == rhs.kind
         inequality = KIND_ORDER[lhs_kind] <= KIND_ORDER[rhs.kind]
-    attained = None
-    if hypotheses and lhs_kind == "finite":
-        sv1 = support_value(s1, rhs.witness1)
-        sv2 = support_value(s2, rhs.witness2)
-        attained = sv1.finite and sv2.finite and sv1.value + sv2.value == lhs.value
+    if rhs.kind == "finite" and not _attains(s1, s2, rhs):
+        raise InternalError("the convolution's witnesses do not attain its value")
     if not inequality:
         raise InternalError("one-sided support inequality failed")
-    if hypotheses:
-        # a bounded side makes the intersection bounded, so lhs is finite
-        if lhs_kind != "finite" or not equal or not attained:
-            raise InternalError("support identity failed under its hypotheses")
+    # a bounded side makes the intersection bounded, so lhs is finite
+    if hypotheses and (lhs_kind != "finite" or not equal):
+        raise InternalError("support identity failed under its hypotheses")
+    attained = True if hypotheses else None
     return SupportIntersectionVerdict(
         hypotheses_met=hypotheses,
         intersection_nonempty=nonempty,

@@ -290,7 +290,9 @@ def cmd_plot(args) -> rp.Report:
         raise InputError(f"cannot write {args.out}: {e.strerror}") from e
     lines.insert(0, f"wrote {args.out} ({len(svg.encode('utf-8'))} bytes)")
     payload = {
-        "out": args.out,
+        # the path's bytes as UTF-8, so an ASCII locale's surrogate
+        # escapes never reach the report; the file opens as given
+        "out": os.fsencode(args.out).decode("utf-8", "replace"),
         "sets": names,
         "bytes": len(svg.encode("utf-8")),
     }

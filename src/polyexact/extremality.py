@@ -101,8 +101,11 @@ class ApproxEpCertificate:
 
 
 def _check_pair(s1: ConvexSet, s2: ConvexSet) -> None:
+    """PreconditionError unless both sets are nonempty, read off the
+    pair's kept difference: A - B has a vertex iff A and B both do. It
+    is the set _evidence reads next, so no LP is solved here."""
     check_same_dim(s1, s2)
-    if s1.is_empty() or s2.is_empty():
+    if not s1.difference(s2).vrep().vertices:
         raise PreconditionError("both sets must be nonempty")
 
 
@@ -116,9 +119,11 @@ def _positive_epsilon(epsilon) -> Fraction:
 def _evidence(s1: ConvexSet, s2: ConvexSet) -> tuple[ConvexSet, Row | None]:
     """The difference set of a pair that passed _check_pair, with its
     evidence row, which is None exactly when the origin is interior to
-    the difference. This is the one place extremality is decided.
-    Callers run _check_pair themselves, before checking their own
-    arguments, so each error keeps its place in the order."""
+    the difference. This is the one place extremality is decided; the
+    difference is the one _check_pair already built. Callers run
+    _check_pair themselves, before checking their own arguments, so an
+    empty set raises PreconditionError before a bad epsilon or point
+    raises InputError."""
     d = s1.difference(s2)
     # an interior origin settles the answer without canonicalizing the
     # difference, which is the expensive step on fat instances

@@ -134,20 +134,20 @@ def make_program(objective, ineqs=(), eqs=(), signs=None) -> LinearProgram:
     return LinearProgram(obj, tuple(ia), tuple(ib), tuple(ea), tuple(eb), sg)
 
 
-def combination_program(columns, target, signs, costs=None, ineqs=()) -> LinearProgram:
+def combination_program(columns, target, signs, ineqs=()) -> LinearProgram:
     """The program over one weight w_k per column whose rows say
     sum_k w_k * columns[k] = target, one equality row per coordinate,
-    and the inequality rows ineqs over the weights, default none.
+    and the inequality rows ineqs over the weights, default none, under
+    a zero objective: solve_lp decides whether such weights exist, and a
+    PreparedSystem of it takes any objective.
     signs restricts each weight (NONNEG for a cone generator, FREE for a
-    lineality vector or an equality multiplier) and costs, default
-    zero, is minimized. An optimal point is the weights; linalg.combine
-    reads the combination back. A column whose length is not the
-    target's raises InputError."""
+    lineality vector or an equality multiplier). A feasible point is the
+    weights; linalg.combine reads the combination back. A column whose
+    length is not the target's raises InputError."""
     if any(len(col) != len(target) for col in columns):
         raise InputError(f"a column does not have the {len(target)} entries of the target")
     eqs = [([col[j] for col in columns], t) for j, t in enumerate(target)]
-    return make_program([0] * len(columns) if costs is None else costs, ineqs=ineqs, eqs=eqs,
-                        signs=signs)
+    return make_program([0] * len(columns), ineqs=ineqs, eqs=eqs, signs=signs)
 
 
 def _check_literals(xs) -> None:

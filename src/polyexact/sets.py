@@ -28,15 +28,19 @@ cached() holds results of one set by key: the integer rows, the
 prepared LP system of the rows (simplex phase one, run once; see
 lp.PreparedSystem), the rows and the generators of the double
 descriptions, the canonical forms, whether the set is bounded, the
-normal cone at each point asked and the support value of each
-functional asked. Emptiness is read off that phase one, and support
-values share it. cached_with() holds results of a pair for the set's
-last partner, compared by identity: A & B, A - B, the pair's prepared
-gauge program (see calculus._reach_system) and its reaches along the
-cube's corners and axes, so the questions asked of one pair share one
-A & B and one A - B, each with one phase one, and solve each direction
-once. Another partner evicts them all, so a one-off pairing is asked of
-the one-off set.
+normal cone at each point asked and the checked outcome of the
+support program at each functional asked, whose duals give the infimal
+convolution when the set is a pair's A & B. Emptiness of a single set
+is read off that phase one, and support values share it; a pair's
+extremality questions read it off the vertices of the pair's A - B
+instead, which they build anyway, so a set of rows prepares its LP
+system only when a support needs it. cached_with() holds results of a
+pair for the set's last partner, compared by identity: A & B, A - B,
+the pair's prepared gauge program (see calculus._reach_system) and its
+reaches along the cube's corners and axes, so the questions asked of
+one pair share one A & B and one A - B, each with one phase one, and
+solve each direction once. Another partner evicts them all, so a
+one-off pairing is asked of the one-off set.
 """
 from __future__ import annotations
 

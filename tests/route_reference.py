@@ -10,13 +10,17 @@ common_point now reads the intersection's prepared system;
 reference_common_point is the cold solve it replaced. The penalized gap
 program of the approximate principle is now assembled from the pair's
 row blocks (extremality._penalized_gap_program); reference_gap_program
-is the hand-indexed builder it replaced.
+is the hand-indexed builder it replaced. The infimal convolution is now
+read off the intersection's support program;
+reference_convolution is the cold program over the multipliers of both
+sets' rows that it replaced.
 """
 from fractions import Fraction
 
 from polyexact.errors import InternalError
 from polyexact.linalg import ONE, ZERO, l1_norm, zero_vec
-from polyexact.lp import NONNEG, LpInfeasible, LpOptimal, make_program, solve_lp
+from polyexact.lp import (FREE, NONNEG, LpInfeasible, LpOptimal, LpUnbounded, make_program,
+                          solve_lp)
 
 
 def reference_meets_interior(s1, s2) -> bool:
@@ -54,6 +58,24 @@ def reference_common_point(s1, s2):
     h = s1.intersect(s2).hrep()
     out = solve_lp(make_program(zero_vec(h.dim), ineqs=h.ineqs, eqs=h.eqs))
     return out.point if isinstance(out, LpOptimal) else None
+
+
+def reference_convolution(s1, s2, g):
+    """(kind, value) of the infimal convolution of the two support
+    functions at g, by one cold program: minimize sum_k y_k b_k over one
+    multiplier per row of s1 and then of s2, nonnegative on inequalities
+    and free on equalities, with sum_k y_k a_k = g."""
+    h1, h2 = s1.hrep(), s2.hrep()
+    rows = h1.ineqs + h1.eqs + h2.ineqs + h2.eqs
+    signs = ([NONNEG] * len(h1.ineqs) + [FREE] * len(h1.eqs)
+             + [NONNEG] * len(h2.ineqs) + [FREE] * len(h2.eqs))
+    eqs = [([a[j] for a, _ in rows], t) for j, t in enumerate(g)]
+    out = solve_lp(make_program([b for _, b in rows], eqs=eqs, signs=signs))
+    if isinstance(out, LpInfeasible):
+        return "plus-infinity", None
+    if isinstance(out, LpUnbounded):
+        return "minus-infinity", None
+    return "finite", out.value
 
 
 def reference_gap_program(h1, h2, xbar, a, eps):

@@ -527,6 +527,27 @@ def test_theorem_inequality_universal_random():
                 assert support_intersection_theorem(s1, s2, g).inequality_holds
 
 
+@pytest.mark.parametrize("pair, g", [
+    ((unit_square(), box(F(1, 2), F(3, 2), 0, 1)), (1, 1)),  # hypotheses met
+    ((upper_halfplane(), ConvexSet.from_hrep(2, ineqs=[((0, 1), 1)])), (0, 1)),  # none bounded
+], ids=["hypotheses", "no-hypotheses"])
+def test_theorem_raises_on_a_split_that_does_not_attain(monkeypatch, pair, g):
+    # the convolution is read off the intersection's own program, so the
+    # theorem checks attainment on each set's system, whatever the
+    # hypotheses; a split moved by 2 e_1 keeps its sum and its value
+    real = calculus.inf_convolution_support
+
+    def shifted(s1, s2, g):
+        out = real(s1, s2, g)
+        e = vscale(2, unit_vec(s1.dim, 0))
+        return InfConvolutionValue(out.kind, out.value, vadd(out.witness1, e),
+                                   vsub(out.witness2, e))
+
+    monkeypatch.setattr(calculus, "inf_convolution_support", shifted)
+    with pytest.raises(InternalError, match="attain"):
+        support_intersection_theorem(*pair, g)
+
+
 def test_theorem_rejects_empty_input():
     empty = ConvexSet.from_hrep(2, ineqs=[((1, 0), 0), ((-1, 0), -1)])
     with pytest.raises(PreconditionError):

@@ -207,6 +207,18 @@ def test_non_ascii_names_are_found_under_an_ascii_locale(tmp_path, flags):
         assert done.stdout.startswith("\u00e9: dim 1".encode()) == (flags == ("-v",))
 
 
+def test_plot_reports_a_non_ascii_out_path_as_utf8_under_an_ascii_locale(tmp_path):
+    # the file is written under its UTF-8 name, and the report names it
+    # as such, where it used to carry the locale's surrogate escapes
+    out = tmp_path / "\u00fc.svg"
+    argv = ("--json", "plot", "halfplanes", "lower", "upper", "--out", str(out))
+    done = _run_cli(*argv)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["out"] == str(out)
+    assert out.read_bytes().endswith(b"</svg>\n")
+    assert done.stdout == _run_cli(*argv, ascii_locale=False).stdout
+
+
 def test_bad_rational_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check-extremal", "halfplanes", "lower", "upper",

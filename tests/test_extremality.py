@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyexact import extremality
+from polyexact import extremality, lp
 from polyexact.calculus import support_value
 from polyexact.cones import normal_cone
 from polyexact.errors import InputError, InternalError, PreconditionError
@@ -359,6 +359,47 @@ def test_empty_input_rejected():
     with pytest.raises(InputError):
         is_extremal_system(box(0, 1, 0, 1),
                            ConvexSet.from_hrep(3, ineqs=[((1, 0, 0), 1)]))
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["empty-first", "empty-second"])
+def test_empty_input_raises_before_a_bad_epsilon(first):
+    # the pair check runs before each call checks its own arguments, so
+    # an empty row-described set wins over epsilon 0 in all three calls
+    empty = ConvexSet.from_hrep(2, ineqs=[((1, 0), -1), ((-1, 0), 0)])
+    pair = (empty, box(0, 1, 0, 1)) if first else (box(0, 1, 0, 1), empty)
+    calls = [
+        lambda: is_extremal_system(*pair, epsilon=0),
+        lambda: find_perturbation(*pair, 0),
+        lambda: approximate_extremal_principle(*pair, (0, 0), 0),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="nonempty"):
+            call()
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (box(0, 2, 0, 2), box(1, 3, 1, 3)),
+    lambda: random_pair_with_common_point(2, 3)[:2],
+    lambda: random_pair_with_common_point(3, 3)[:2],
+], ids=["boxes", "dim3-seed2", "dim3-seed3"])
+def test_non_extremal_pair_check_solves_no_lp_on_either_set(monkeypatch, pair):
+    """Emptiness of a pair is read off its kept difference, so deciding a
+    non-extremal row-described pair, and separating it, prepares no LP
+    over either set's own rows."""
+    s1, s2 = pair()
+    own = {(s.hrep().ineqs, s.hrep().eqs) for s in (s1, s2)}
+    built = []
+    init = lp.PreparedSystem.__init__
+
+    def recorded(self, program, rows=None):
+        built.append((tuple(zip(program.ineq_lhs, program.ineq_rhs)),
+                      tuple(zip(program.eq_lhs, program.eq_rhs))))
+        init(self, program, rows)
+
+    monkeypatch.setattr(lp.PreparedSystem, "__init__", recorded)
+    assert not is_extremal_system(s1, s2).extremal
+    assert separate(s1, s2) is None
+    assert not own & set(built)
 
 
 def test_epsilon_validated_whatever_the_verdict():

@@ -178,9 +178,18 @@ def test_slice_counts_are_pinned(monkeypatch):
     phase one on its rows. While every caller built its own there were
     71 intersections and 54 such phase ones.
 
-    Every certificate is checked: 2,109 checks, 1,874 of them in the
+    Every certificate is checked: 1,940 checks, 1,705 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
-    them. They were 1,898 and 1,663 while points outside a cone were
+    them. They were 2,109 and 1,874 while each infimal convolution
+    solved a cold program of its own: the 357 convolutions of the 17
+    slice pairs that meet (20 probes each in the sweep, one in
+    support_intersection_theorem) now read the kept outcome of the
+    intersection's support solve at the same functional, whose LP dual
+    that program is, and the sweep's attainment check, now run at
+    every finite probe instead of under the hypotheses only, adds 188
+    support phase twos on the pairs' own sets, each with its check; the
+    disjoint pair still solves its 21 cold programs. They were 1,898
+    and 1,663 while points outside a cone were
     answered by a polar vector checked once per cone, and the origin,
     asked 25 times, was in every cone with no LP solved: each of the 523
     membership solves is now a phase two with a checked certificate,
@@ -212,7 +221,7 @@ def test_slice_counts_are_pinned(monkeypatch):
     assert len(counts.reaches) == 105
     assert counts.make_cone == 91
     assert counts.memberships == 523
-    assert (counts.checks, counts.solver_checks) == (2109, 1874)
+    assert (counts.checks, counts.solver_checks) == (1940, 1705)
     assert counts.dd == 180
     assert len(counts.intersections) == 18
     assert all("lp_system" in s._memo for s in counts.intersections)

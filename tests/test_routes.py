@@ -1,8 +1,9 @@
 """One production route per decision, checked against the route it
 replaced (route_reference): whether a set meets the interior of another,
 whether a set has interior points none of which lies in another, a
-common point of two sets, the program of generator membership and the
-penalized gap program of the approximate principle.
+common point of two sets, the program of generator membership, the
+penalized gap program of the approximate principle and the infimal
+convolution of two support functions.
 
 The corpus is the pairs of a small default-shaped suite run, in both
 orders, which includes the fixture pairs, together with a flat second
@@ -17,14 +18,22 @@ from hypothesis import strategies as st
 
 from polyexact import sets as sets_module
 from polyexact import extremality, suite
-from polyexact.calculus import common_point, meets_interior
+from polyexact.calculus import (
+    common_point,
+    inf_convolution_support,
+    meets_interior,
+    standard_probes,
+    support_value,
+)
+from polyexact.errors import PreconditionError
 from polyexact.extremality import EPSILON_GRID, check_sufficient_interiority
-from polyexact.linalg import dot, unit_vec, vadd, vscale
+from polyexact.linalg import dot, unit_vec, vadd, vec, vscale, zero_vec
 from polyexact.lp import LinearProgram, LpOptimal, solve_lp
 from polyexact.oracle import random_pair_with_common_point
 from polyexact.sets import ConvexSet, HRep
 from route_reference import (
     reference_common_point,
+    reference_convolution,
     reference_gap_program,
     reference_generator_program,
     reference_meets_interior,
@@ -193,3 +202,58 @@ def test_gap_program_matches_the_hand_indexed_builder(data):
         want = reference_gap_program(h1, h2, anchor, shift, eps)
         for f in fields(LinearProgram):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def _assert_convolution_matches(s1, s2, g) -> str:
+    """The convolution at g has the kind and the value of the cold
+    program. Its witnesses are checked by attainment on each set's own
+    prepared system, not compared: another optimal basis may split g
+    differently. Returns the kind."""
+    got = inf_convolution_support(s1, s2, g)
+    kind, value = reference_convolution(s1, s2, g)
+    assert (got.kind, got.value) == (kind, value), (s1, s2, g)
+    if kind == "finite":
+        assert vadd(got.witness1, got.witness2) == vec(g)
+        v1, v2 = support_value(s1, got.witness1), support_value(s2, got.witness2)
+        assert v1.finite and v2.finite and v1.value + v2.value == value, (s1, s2, g)
+    else:
+        assert got.witness1 is None and got.witness2 is None
+    return kind
+
+
+def _line(height):
+    return ConvexSet.from_hrep(2, eqs=[((0, 1), height)])
+
+
+def test_convolution_matches_cold_program(corpus):
+    """Every pair of the corpus, disjoint ones in both orders and flat
+    ones with equality rows included, at every standard probe and the
+    zero functional, together with unbounded pairs; an empty set is
+    refused."""
+    up = ConvexSet.from_hrep(2, ineqs=[((0, -1), 0)])
+    down = ConvexSet.from_hrep(2, ineqs=[((0, 1), 0)])
+    unbounded = [(up, up), (up, down), (down, up.translate((0, 1))), (up, _line(1)),
+                 (_line(0), _line(1)), (_line(1), box(0, 1, 0, 1))]
+    kinds = []
+    for s1, s2 in corpus + unbounded:
+        probes = standard_probes(s1.dim) + (zero_vec(s1.dim),)
+        if s1.is_empty() or s2.is_empty():
+            with pytest.raises(PreconditionError):
+                inf_convolution_support(s1, s2, probes[0])
+            continue
+        kinds += [_assert_convolution_matches(s1, s2, g) for g in probes]
+    assert set(kinds) == {"finite", "plus-infinity", "minus-infinity"}
+
+
+@PROPERTY
+@given(interior_pairs(), st.booleans(), st.data())
+def test_convolution_matches_cold_program_on_random_pairs(pair, swap, data):
+    """Random pairs that overlap, touch or miss, flat half the time by
+    an equality held as two rows, in both orders, at a random rational
+    functional, zero included."""
+    s1, rows = pair
+    s2 = ConvexSet.from_hrep(s1.dim, rows)
+    if swap:
+        s1, s2 = s2, s1
+    g = tuple(data.draw(st.fractions(-3, 3, max_denominator=3)) for _ in range(s1.dim))
+    _assert_convolution_matches(s1, s2, g)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polyexact import suite
+from polyexact import calculus, suite
 from polyexact.errors import InputError
 from polyexact.instances import fixture_names
 from polyexact.suite import (
@@ -158,3 +158,23 @@ def test_outcome_flags_violations():
     clean = SweepOutcome("lp-certification", 10, (), {})
     dirty = SweepOutcome("lp-certification", 10, ("lp seed=1: bad",), {})
     assert clean.ok and not dirty.ok
+
+
+def test_sweep_reports_a_split_that_does_not_attain(monkeypatch):
+    # the sweep checks each finite convolution on the pair's own sets, so
+    # a split with the right sum and value that misses the value fails
+    real = calculus.inf_convolution_support
+
+    def shifted(s1, s2, g):
+        out = real(s1, s2, g)
+        if out.kind != "finite":
+            return out
+        e = tuple(2 if j == 0 else 0 for j in range(s1.dim))
+        w1 = tuple(x + y for x, y in zip(out.witness1, e))
+        w2 = tuple(x - y for x, y in zip(out.witness2, e))
+        return calculus.InfConvolutionValue(out.kind, out.value, w1, w2)
+
+    monkeypatch.setattr(suite, "inf_convolution_support", shifted)
+    record = suite._run_task(("fixture", "boxes-overlap"))
+    assert ("support-infconv-identity", "fixture boxes-overlap: convolution infimum is not "
+            "attained") in record["violations"]
