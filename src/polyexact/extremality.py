@@ -14,7 +14,13 @@ globally together with a small penalty that anchors the minimizer near
 the reference point; the dual multipliers of the gap rows assemble the
 pair of opposite unit functionals directly. _penalized_gap_program
 assembles the program from the rows of each set, placed on its own
-point, and the sup-norm epigraph rows of the gap and both penalties.
+point, and the sup-norm epigraph rows of the gap and both penalties,
+and writes it from a point known to be feasible: both points at the
+reference point, which lies in both sets, the gap bound at the size of
+the translation and both penalties at zero. Every inequality then has a
+nonnegative right-hand side, so the simplex starts on their slacks and
+phase one has nothing to repair. The move changes no row, so the duals
+read off the solve are those of the unmoved program.
 """
 from __future__ import annotations
 
@@ -33,6 +39,7 @@ from .linalg import (
     frac,
     l1_norm,
     linf_norm,
+    over_one_denominator,
     vadd,
     vec,
     vneg,
@@ -40,8 +47,8 @@ from .linalg import (
     vsub,
     zero_vec,
 )
-from .lp import LinearProgram, LpOptimal, make_program, solve_lp
-from .sets import ConvexSet, HRep, check_same_dim
+from .lp import LinearProgram, LpOptimal, _slacks, make_program, solve_lp
+from .sets import ConvexSet, check_same_dim
 
 Row = tuple[Vec, Fraction]
 
@@ -266,27 +273,38 @@ def check_sufficient_interiority(s1: ConvexSet, s2: ConvexSet) -> bool:
     return s1.interior_point() is not None and not meets_interior(s2, s1)
 
 
-def _penalized_gap_program(h1: HRep, h2: HRep, xbar: Vec, a: Vec, eps: Fraction) -> LinearProgram:
-    """min t + eps (p + q) over (x1, x2, t, p, q) with x1 in the rows h1,
-    x2 in the rows h2 and t, p, q sup-norm bounds on x1 - x2 + a,
-    x1 - xbar and x2 - xbar. Rows: h1's on x1, h2's on x2, then for each
-    bound |v - r| <= t the rows v_j - t <= r_j and -v_j - t <= -r_j."""
+def _penalized_gap_program(s1: ConvexSet, s2: ConvexSet, xbar: Vec, a: Vec,
+                           eps: Fraction) -> LinearProgram:
+    """min t + eps (p + q) over (x1, x2, t, p, q) with x1 in s1, x2 in s2
+    and t, p, q sup-norm bounds on x1 - x2 + a, x1 - xbar and x2 - xbar,
+    written from the feasible point (xbar, xbar, |a|, 0, 0), xbar being
+    in both sets: its variables are (u1, u2, tau, p, q) with
+    x_i = xbar + u_i and t = |a| + tau. Rows: s1's on u1, s2's on u2,
+    then for each bound |v - r| <= t the rows v_j - t <= r_j and
+    -v_j - t <= -r_j. A set's inequality row keeps its slack at xbar as
+    its right-hand side, read off the set's integer rows, and its
+    equality rows keep 0, so every inequality starts on its slack."""
     n = len(xbar)
     zero = [ZERO] * (2 * n + 3)
+    xs, d = over_one_denominator(xbar)
 
-    def placed(rows, offset):
-        out = []
-        for normal, b in rows:
-            row = zero.copy()
-            row[offset:offset + n] = normal
-            out.append((row, b))
-        return out
+    def on(normal, offset):
+        row = zero.copy()
+        row[offset:offset + n] = normal
+        return row
 
-    def epigraph(terms, r, col):
+    def placed(s, offset):
+        h, rows = s.hrep(), s.integer_rows()
+        slacks = (Fraction(v * k, rows.scale * d)
+                  for v, (_, _, k) in zip(_slacks(rows, xs, d), rows.ineq))
+        return ([(on(normal, offset), b) for (normal, _), b in zip(h.ineqs, slacks)],
+                [(on(normal, offset), ZERO) for normal, _ in h.eqs])
+
+    def epigraph(terms, r, lift, col):
         flipped = [(o, -c) for o, c in terms]
         out = []
         for j, rj in enumerate(r):
-            for signed, b in ((terms, rj), (flipped, -rj)):
+            for signed, b in ((terms, lift + rj), (flipped, lift - rj)):
                 row = zero.copy()
                 for o, c in signed:
                     row[o + j] = c
@@ -294,31 +312,32 @@ def _penalized_gap_program(h1: HRep, h2: HRep, xbar: Vec, a: Vec, eps: Fraction)
                 out.append((row, b))
         return out
 
-    ineqs = (placed(h1.ineqs, 0) + placed(h2.ineqs, n)
-             + epigraph(((0, ONE), (n, -ONE)), vneg(a), 2 * n)
-             + epigraph(((0, ONE),), xbar, 2 * n + 1)
-             + epigraph(((n, ONE),), xbar, 2 * n + 2))
-    eqs = placed(h1.eqs, 0) + placed(h2.eqs, n)
-    return make_program(zero_vec(2 * n) + (ONE, eps, eps), ineqs=ineqs, eqs=eqs)
+    (i1, e1), (i2, e2) = placed(s1, 0), placed(s2, n)
+    ineqs = (i1 + i2 + epigraph(((0, ONE), (n, -ONE)), vneg(a), linf_norm(a), 2 * n)
+             + epigraph(((0, ONE),), zero_vec(n), ZERO, 2 * n + 1)
+             + epigraph(((n, ONE),), zero_vec(n), ZERO, 2 * n + 2))
+    return make_program(zero_vec(2 * n) + (ONE, eps, eps), ineqs=ineqs, eqs=e1 + e2)
 
 
 def _penalized_gap_minimum(s1: ConvexSet, s2: ConvexSet, xbar: Vec,
                            a: Vec, eps: Fraction):
     """Minimize the sup-norm gap of the translated pair plus an epsilon
-    penalty on the distance of each point from xbar, by one solve of
-    _penalized_gap_program.
+    penalty on the distance of each point from xbar, a point of both
+    sets, by one solve of _penalized_gap_program.
 
-    Returns the minimizing points, the unit subgradient s of the gap
-    norm read off the dual multipliers of the gap rows, and the
-    normal-cone components of the stationarity identity for each block.
+    Returns the minimizing points, moved back from xbar, the unit
+    subgradient s of the gap norm read off the dual multipliers of the
+    gap rows, and the normal-cone components of the stationarity
+    identity for each block. Moving the program leaves its rows, and so
+    its duals, as they were.
     """
     n = s1.dim
     h1, h2 = s1.hrep(), s2.hrep()
-    out = solve_lp(_penalized_gap_program(h1, h2, xbar, a, eps))
+    out = solve_lp(_penalized_gap_program(s1, s2, xbar, a, eps))
     if not isinstance(out, LpOptimal):
         raise InternalError("penalized gap program must attain its minimum")
-    x1, x2 = out.point[:n], out.point[n:2 * n]
-    if out.point[2 * n] <= 0:
+    x1, x2 = vadd(xbar, out.point[:n]), vadd(xbar, out.point[n:2 * n])
+    if out.point[2 * n] + linf_norm(a) <= 0:
         raise InternalError("zero gap contradicts the verified disjointness")
     m1, m2 = len(h1.ineqs), len(h2.ineqs)
     y, z = out.dual_ineq, out.dual_eq

@@ -14,8 +14,10 @@ A document is JSON with up to three top-level objects:
       "functionals": {"diag": ["1", "1"]}
     }
 
-Rationals are written as strings "p/q" (plain integers are also
-accepted); decimal numbers are rejected so no rounding can sneak in.
+Rationals are written as strings "p/q" or "p" in ASCII digits (plain
+JSON integers are also accepted); decimal and exponent forms are
+rejected, as strings or JSON numbers, so no rounding can sneak in and
+no short literal expands to a huge integer (linalg.frac).
 Serialization is canonical: sorted keys, two-space indent, every
 rational rendered by its reduced string form. Parsing a canonical
 document and serializing it again reproduces the bytes exactly.

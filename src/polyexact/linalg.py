@@ -6,6 +6,7 @@ integers directly.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -16,9 +17,18 @@ Vec = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# the one string form of a rational: ASCII digits, an optional sign and
+# an optional denominator
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def frac(x) -> Fraction:
-    """Coerce an int, string like '3/4', or Fraction to Fraction."""
+    """Coerce an int, string like '3/4', or Fraction to Fraction.
+
+    A string must read [+-]digits or [+-]digits/digits in ASCII digits.
+    Anything else, a decimal or exponent form such as '1e3000000' (which
+    Fraction would expand to a ten-million-bit integer), an underscore or
+    a non-ASCII digit, raises InputError before any conversion."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -26,6 +36,8 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL_LITERAL.fullmatch(x):
+            raise InputError(f"bad rational literal {x!r}: write p/q in ASCII digits")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:

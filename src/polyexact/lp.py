@@ -32,6 +32,13 @@ tableau: all rows share one positive denominator and pivots use the
 fraction-free (Bareiss) update, so arithmetic stays in plain ints and
 results are bit-for-bit deterministic. The tableau starts from the same
 integer form: its rows are the int rows s*a, s*b, negated where b < 0.
+Phase one starts on the slack basis of the textbook two-phase method
+(Chvatal 1983, Linear Programming): an inequality row with b >= 0
+starts on its slack, which is already feasible there, and only the
+other rows, inequalities with b < 0 and equalities, start on an
+artificial. Phase one minimizes the sum of those, so a program of
+inequalities written from a known feasible point, every b >= 0, makes
+no phase-one pivot.
 Each solve builds that form once, for the tableau and the check alike:
 solve_lp per call, a PreparedSystem once for all its solves, or not at
 all when the ConvexSet whose rows it holds hands in its own. Points,
@@ -213,9 +220,12 @@ class _Tableau:
     * the minus twin of a free variable is its negated plus column, in
       every row including the cost rows;
     * the artificial of inequality row r is s_r times slack r, where
-      s_r = +/-1 is the sign that slack started with. In a cost row its
-      entry is den*c_art + s_r*obj[slack r] instead, which is where
-      row_multipliers reads it.
+      s_r = +/-1 is the sign that slack started with. A row with
+      s_r = +1 (b >= 0) starts on its slack, basis id nt + r, which is
+      then also its artificial; the others start on their artificials,
+      and only those are charged in phase one (phase_one_row).
+      row_multipliers reads an inequality row off its slack alone, so
+      no cost row needs an entry for the artificial.
 
     Artificials never enter, so every pivot column is stored up to sign.
     """
@@ -259,7 +269,10 @@ class _Tableau:
         # artificials: inequality rows read their slack, equality rows are stored
         self.cols += [(n + r, s) for r, s in enumerate(self.slack_sign)]
         self.cols += [(n + r, 1) for r in range(self.m1, self.m)]
-        self.basis = [self.nt + self.ns + r for r in range(self.m)]
+        # a row whose slack starts at +1 starts on it; the rest start on
+        # their artificials, the only ones phase one charges
+        self.basis = [self.nt + r if r < self.m1 and self.slack_sign[r] > 0
+                      else self.nt + self.ns + r for r in range(self.m)]
         self.active = [True] * self.m
         self.den = 1
 
@@ -278,10 +291,14 @@ class _Tableau:
         return sg * self.rows[i][k]
 
     def phase_one_row(self) -> list[int]:
-        """Cost row of the sum of the artificials in the starting basis."""
+        """Cost row of the sum of the artificials in the starting basis:
+        each row on an artificial is subtracted, and the rows that start
+        on their slack cost nothing."""
         obj = [0] * (self.lp.dim + self.m + 1)
-        for row in self.rows:
-            obj = [o - x for o, x in zip(obj, row)]
+        art = self.nt + self.ns
+        for row, b in zip(self.rows, self.basis):
+            if b >= art:
+                obj = [o - x for o, x in zip(obj, row)]
         for r in range(self.m1, self.m):
             obj[self.lp.dim + r] += 1
         return obj
@@ -395,16 +412,18 @@ class _Tableau:
 
     def row_multipliers(self, obj: list[int], art_cost: int, unscale: int) -> list[Fraction]:
         """Multipliers on the original rows proving the current reduced
-        costs, art_cost - obj[art r]/den, read off the artificial columns
-        of an objective row whose artificials all cost art_cost, each
-        divided by unscale.
+        costs of the objective row obj, each divided by unscale;
+        art_cost is what obj charges an equality row's artificial (1 in
+        phase one, 0 in phase two).
 
-        The artificial block started as the identity, so it records the
-        row operations applied so far; rows dropped as redundant still
-        participate and their multipliers stay sign-safe because their
-        slack columns kept nonnegative reduced costs. For an inequality
-        row the identity obj[art r] = den*art_cost + s_r*obj[slack r]
-        turns this into -s_r*obj[slack r]/den in both phases. Each
+        Each row's multiplier is read off a column that started in that
+        row alone, so the column records the row operations applied so
+        far: an inequality row's slack, s_r in row r, which costs
+        nothing in either phase and gives -s_r*obj[slack r]/den whatever
+        the row started on; an equality row's artificial, the unit
+        column, which gives art_cost - obj[art r]/den. Rows dropped as
+        redundant still participate and their multipliers stay sign-safe
+        because their slack columns kept nonnegative reduced costs. Each
         multiplier is an int over den*unscale, made a Fraction once.
         """
         n, den = self.lp.dim, self.den

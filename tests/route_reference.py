@@ -9,8 +9,9 @@ replaced, built by hand with its "weights sum to one" row.
 common_point now reads the intersection's prepared system;
 reference_common_point is the cold solve it replaced. The penalized gap
 program of the approximate principle is now assembled from the pair's
-row blocks (extremality._penalized_gap_program); reference_gap_program
-is the hand-indexed builder it replaced. The infimal convolution is now
+row blocks and moved to its feasible point (xbar, xbar, |a|, 0, 0)
+(extremality._penalized_gap_program); reference_gap_program is the
+hand-indexed builder it replaced, unmoved. The infimal convolution is now
 read off the intersection's support program;
 reference_convolution is the cold program over the multipliers of both
 sets' rows that it replaced.

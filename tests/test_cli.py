@@ -1,14 +1,17 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 from polyexact import suite
 from polyexact.cli import build_parser, main
+from polyexact.instances import fixture_names, load_instance
 
 THREE_D_DOC = """{
   "sets": {
@@ -226,6 +229,19 @@ def test_bad_rational_flag_exits_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-extremal", "halfplanes", "lower", "upper", "--epsilon"],
+    ["ep", "halfplanes", "lower", "upper", "origin"],
+    ["plot", "halfplanes", "lower", "--out", "x.svg", "--viewport"],
+], ids=["epsilon", "ep", "viewport"])
+@pytest.mark.parametrize("text", ["1e3000000", "0.5", "1_0", "\u0661"])
+def test_non_plain_rational_flag_exits_2(capsys, argv, text):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, text])
+    assert info.value.code == 2
+    assert "bad rational literal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pair", [("halfplanes", "lower", "upper"),
                                   ("boxes-overlap", "left", "right")])
 @pytest.mark.parametrize("eps", ["0", "-1"])
@@ -344,6 +360,46 @@ def test_verify_suite_report_matches_golden_bytes(capsys):
     code, out, _ = run(capsys, "--json", "verify-suite", "--dims", "2", "--seed-range", "1..3")
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+LITERAL_FUNCTIONALS = ("1,0", "0,1", "1,1", "1,-1", "2,1", "1,2", "3,-2")
+EP_EPSILONS = ("1", "1/2", "1/7", "1/40")
+
+
+def _fixture_corpus():
+    """The --json commands on the packaged fixtures: every planar set at
+    each named functional and each literal of LITERAL_FUNCTIONALS, and
+    every ordered pair of distinct sets checked, separated and
+    convolved at those functionals, then at every named point its
+    intersection rule and its approximate principle at EP_EPSILONS."""
+    for name in fixture_names():
+        doc = load_instance(name)
+        sets = sorted(k for k, s in doc.sets.items() if s.dim == 2)
+        functionals = sorted(doc.functionals) + list(LITERAL_FUNCTIONALS)
+        points = sorted(doc.points)
+        for s in sets:
+            yield from (["support", name, s, g] for g in functionals)
+        for pair in permutations(sets, 2):
+            yield ["check-extremal", name, *pair]
+            yield ["separate", name, *pair]
+            yield from (["infconv", name, *pair, g] for g in functionals)
+            for p in points:
+                yield ["intersection-rule", name, *pair, p]
+                yield from (["ep", name, *pair, p, eps] for eps in EP_EPSILONS)
+
+
+def test_fixture_reports_match_pinned_bytes(capsys):
+    """The --json stdout of the fixture corpus, refused commands
+    included, hashed in corpus order: any drift in a verdict,
+    certificate or error on a packaged fixture changes this digest."""
+    digest = hashlib.sha256()
+    count = 0
+    for argv in _fixture_corpus():
+        main(["--json", *argv])
+        digest.update(capsys.readouterr().out.encode())
+        count += 1
+    assert count == 319
+    assert digest.hexdigest() == "8de6d15de07125e2e852b2bd65b2c1dc9b9d23244d99e18641a69523c9513925"
 
 
 # -- the shared parser ---------------------------------------------------------

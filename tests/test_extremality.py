@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyexact import extremality, lp
+from polyexact import extremality, lp, suite
 from polyexact.calculus import support_value
 from polyexact.cones import normal_cone
 from polyexact.errors import InputError, InternalError, PreconditionError
@@ -247,6 +247,49 @@ def test_gap_minimum_parts_lie_in_the_normal_cones():
         x1, x2, s, n1, n2 = extremality._penalized_gap_minimum(s1, s2, x, a, F(1, 10))
         assert normal_cone(s1, x1).contains(n1) and normal_cone(s2, x2).contains(n2)
         assert l1_norm(vsub(vneg(s), n1)) <= F(1, 10) and l1_norm(vsub(s, n2)) <= F(1, 10)
+
+
+def test_gap_solves_of_the_planar_suite_make_no_phase_one_pivot(monkeypatch):
+    """The gap program is written from its feasible point, so on the
+    planar suite's pairs and its fixture pairs, at every epsilon of the
+    grid, its solve starts on a feasible basis and phase one, drive-out
+    included, makes no pivot. Every program is still solved in full and
+    its certificate checked."""
+    gaps, pivots, watching = [], [], []
+    build, phase_one, pivot = (extremality._penalized_gap_program, lp._phase_one,
+                               lp._Tableau._pivot)
+
+    def recorded_build(*args):
+        gaps.append(build(*args))
+        return gaps[-1]
+
+    def watched_phase_one(program, rows):
+        watching.append(any(program is g for g in gaps))
+        try:
+            return phase_one(program, rows)
+        finally:
+            watching.pop()
+
+    def counted_pivot(self, pr, pc, obj):
+        if watching and watching[-1]:
+            pivots.append((pr, pc))
+        pivot(self, pr, pc, obj)
+
+    monkeypatch.setattr(extremality, "_penalized_gap_program", recorded_build)
+    monkeypatch.setattr(lp, "_phase_one", watched_phase_one)
+    monkeypatch.setattr(lp._Tableau, "_pivot", counted_pivot)
+    calls = 0
+    for task in suite.build_tasks(dims=(2,)):
+        if task[0] not in ("pair", "fixture"):
+            continue
+        _, s1, s2, anchor = suite._task_instance(task)
+        if anchor is None or not is_extremal_system(s1, s2).extremal:
+            continue
+        for eps in EPSILON_GRID:
+            approximate_extremal_principle(s1, s2, anchor, eps)
+            calls += 1
+    assert len(gaps) == calls > 100
+    assert pivots == []
 
 
 def test_approx_ep_preconditions():

@@ -14,7 +14,7 @@ from polyexact.instances import (
     parse_vector,
     serialize_document,
 )
-from polyexact.linalg import vec
+from polyexact.linalg import frac, vec
 
 
 def test_bundled_fixture_names():
@@ -204,6 +204,20 @@ def test_parse_vector_literals():
         parse_vector("1,,2")
     with pytest.raises(InputError):
         parse_vector("")
+
+
+@pytest.mark.parametrize("text", ["1e3000000", "0.5", "1_0", "\u0661"])
+def test_only_ascii_p_over_q_strings_are_rationals(text):
+    """An exponent, a decimal point, an underscore or a non-ASCII digit
+    is refused before conversion. Fraction itself reads each of them
+    (underscores from Python 3.11), and expands the first, nine
+    characters, to a ten-million-bit integer."""
+    with pytest.raises(InputError, match="bad rational literal"):
+        frac(text)
+    with pytest.raises(FormatError, match="bad rational literal"):
+        parse_document('{"points": {"p": ["1", "%s"]}}' % text)
+    with pytest.raises(InputError):
+        parse_vector("1," + text)
 
 
 def test_fixture_directory_override(tmp_path, monkeypatch):

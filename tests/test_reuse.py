@@ -158,11 +158,15 @@ def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
 
 def test_slice_counts_are_pinned(monkeypatch):
     """Counts on the 12-seed planar slice: 18 Minkowski sums (one per pair
-    task), 105 reaches along a direction, 91 canonicalized cones and 523
-    membership solves on the cones' polar programs: 333 points inside,
+    task), 105 reaches along a direction, 91 canonicalized cones and 522
+    membership solves on the cones' polar programs: 332 points inside,
     178 outside and the 12 generators make_cone pruned, asked of the
     cone it kept (4 of them asked again later, and answered from the
-    cone). There were 337 membership questions decided by LP, all about
+    cone). There were 523 while phase one started every row on its
+    artificial: the penalized gap program is now written from its
+    feasible point and starts on its slacks, and one approximate
+    certificate of the slice ends on another optimal basis, whose
+    normal parts its cones are asked for one point fewer. There were 337 membership questions decided by LP, all about
     points inside, while points outside were answered by a polar vector
     of the double description. Before the sharing they were 64, 302, 327
     and 2,078; before contains kept its answers there were 1,242
@@ -178,9 +182,10 @@ def test_slice_counts_are_pinned(monkeypatch):
     phase one on its rows. While every caller built its own there were
     71 intersections and 54 such phase ones.
 
-    Every certificate is checked: 1,940 checks, 1,705 of them in the
+    Every certificate is checked: 1,939 checks, 1,704 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
-    them. They were 2,109 and 1,874 while each infimal convolution
+    them. They were 1,940 and 1,705 with the one membership solve the
+    slack-basis start saved (above), and 2,109 and 1,874 while each infimal convolution
     solved a cold program of its own: the 357 convolutions of the 17
     slice pairs that meet (20 probes each in the sweep, one in
     support_intersection_theorem) now read the kept outcome of the
@@ -220,8 +225,8 @@ def test_slice_counts_are_pinned(monkeypatch):
     assert counts.minkowski == 18
     assert len(counts.reaches) == 105
     assert counts.make_cone == 91
-    assert counts.memberships == 523
-    assert (counts.checks, counts.solver_checks) == (1940, 1705)
+    assert counts.memberships == 522
+    assert (counts.checks, counts.solver_checks) == (1939, 1704)
     assert counts.dd == 180
     assert len(counts.intersections) == 18
     assert all("lp_system" in s._memo for s in counts.intersections)

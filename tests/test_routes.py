@@ -27,7 +27,7 @@ from polyexact.calculus import (
 )
 from polyexact.errors import PreconditionError
 from polyexact.extremality import EPSILON_GRID, check_sufficient_interiority
-from polyexact.linalg import dot, unit_vec, vadd, vec, vscale, zero_vec
+from polyexact.linalg import dot, linf_norm, unit_vec, vadd, vec, vscale, zero_vec
 from polyexact.lp import LinearProgram, LpOptimal, solve_lp
 from polyexact.oracle import random_pair_with_common_point
 from polyexact.sets import ConvexSet, HRep
@@ -182,26 +182,34 @@ def test_gap_program_matches_the_hand_indexed_builder(data):
     """Random pairs in dims 2-4 in both orders, each set made flat half
     the time by a row held with equality at the common point, a random
     translation, at every epsilon of the grid: the program assembled
-    from row blocks equals the one written out index by index."""
+    from row blocks is the one written out index by index, moved to the
+    start (xbar, xbar, |a|, 0, 0). It has the same rows and objective,
+    and each right-hand side is less its row at the start, which leaves
+    every inequality's nonnegative and every equality's zero."""
     dim = data.draw(st.integers(2, 4))
     s1, s2, anchor = random_pair_with_common_point(data.draw(st.integers(1, 60)), dim)
     if data.draw(st.booleans()):
         s1, s2 = s2, s1
 
-    def rows(s):
+    def flattened(s):
         h = s.hrep()
         if not data.draw(st.booleans()):
-            return h
+            return s
         a, _ = data.draw(st.sampled_from(h.ineqs))
-        return HRep(dim, h.ineqs, ((a, dot(a, anchor)),))
+        return ConvexSet(HRep(dim, h.ineqs, ((a, dot(a, anchor)),)))
 
-    h1, h2 = rows(s1), rows(s2)
+    s1, s2 = flattened(s1), flattened(s2)
     shift = tuple(data.draw(st.fractions(-2, 2, max_denominator=4)) for _ in range(dim))
+    start = anchor + anchor + (linf_norm(shift), F(0), F(0))
     for eps in EPSILON_GRID:
-        got = extremality._penalized_gap_program(h1, h2, anchor, shift, eps)
-        want = reference_gap_program(h1, h2, anchor, shift, eps)
+        got = extremality._penalized_gap_program(s1, s2, anchor, shift, eps)
+        want = reference_gap_program(s1.hrep(), s2.hrep(), anchor, shift, eps)
         for f in fields(LinearProgram):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+            if f.name not in ("ineq_rhs", "eq_rhs"):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert got.ineq_rhs == tuple(b - dot(a, start) for a, b in zip(want.ineq_lhs, want.ineq_rhs))
+        assert got.eq_rhs == tuple(b - dot(a, start) for a, b in zip(want.eq_lhs, want.eq_rhs))
+        assert all(b >= 0 for b in got.ineq_rhs) and not any(got.eq_rhs)
 
 
 def _assert_convolution_matches(s1, s2, g) -> str:
