@@ -22,7 +22,7 @@ not depend on d, so a pair has one gauge program that runs phase one
 once, and each direction is one objective, solved by one phase two with
 its certificate checked. The maximizing pair is read off the verified
 duals, and a zero reach comes with a verified unbounded ray. The pair's
-program and its reaches are kept on the first set (see
+program, reaches and corners are kept on the first set (see
 ConvexSet.cached_with). The windowed condition solves nothing more:
 each corner decomposition, shrunk toward the common point, is its
 windowed witness, and it is checked against the rows of both sets.
@@ -194,16 +194,20 @@ def _corner_decompositions(s1: ConvexSet, s2: ConvexSet):
     """Reach along every sign corner of the unit cube, with maximizing
     pairs. Returns None as soon as some corner has reach zero; all
     corners positive certifies the origin interior to the difference,
-    since the hull of the reached corners contains a cube."""
-    dim = s1.dim
-    out = []
-    for bits in range(1 << dim):
-        c = tuple(ONE if bits >> j & 1 else -ONE for j in range(dim))
-        delta, x1, x2 = _pair_reach(s1, s2, c)
-        if delta == 0:
-            return None
-        out.append((c, delta, x1, x2))
-    return out
+    since the hull of the reached corners contains a cube. Kept on s1
+    for its last partner, after both row descriptions (see _pair_system)."""
+    def build():
+        out = []
+        for bits in range(1 << s1.dim):
+            c = tuple(ONE if bits >> j & 1 else -ONE for j in range(s1.dim))
+            delta, x1, x2 = _pair_reach(s1, s2, c)
+            if delta == 0:
+                return None
+            out.append((c, delta, x1, x2))
+        return tuple(out)
+    s1.hrep()
+    s2.hrep()
+    return s1.cached_with(s2, "corners", build)
 
 
 def difference_interiority(s1: ConvexSet, s2: ConvexSet) -> Fraction | None:
@@ -518,11 +522,11 @@ def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> Support
 
     The convolution is read off the intersection's support program
     (inf_convolution_support), so the sides are not compared as two
-    programs: a finite convolution must be attained by its witnesses on
-    each set's own prepared system (_attains), and a failure raises
-    InternalError rather than reporting a false verdict. Under the
-    checked hypotheses the identity is asserted as well, and attained
-    is then reported; the universal inequality is always asserted."""
+    programs: a finite convolution's split must sum to the functional
+    and attain its value on each set's own prepared system (_attains),
+    or InternalError is raised rather than a false verdict reported.
+    Under the checked hypotheses the identity is asserted as well, and
+    attained is then reported; the inequality is always asserted."""
     check_same_dim(s1, s2)
     g = vec(xstar)
     if len(g) != s1.dim:
@@ -543,6 +547,8 @@ def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> Support
     else:
         equal = lhs_kind == rhs.kind
         inequality = KIND_ORDER[lhs_kind] <= KIND_ORDER[rhs.kind]
+    if rhs.kind == "finite" and vadd(rhs.witness1, rhs.witness2) != g:
+        raise InternalError("the convolution's split does not sum to the functional")
     if rhs.kind == "finite" and not _attains(s1, s2, rhs):
         raise InternalError("the convolution's witnesses do not attain its value")
     if not inequality:

@@ -98,7 +98,10 @@ def infconv_payload(v: InfConvolutionValue) -> dict:
 def human_rat(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x)
-    return f"{x} (~{float(x):.6g})"
+    try:
+        return f"{x} (~{float(x):.6g})"
+    except OverflowError:  # beyond float range: no approximation
+        return str(x)
 
 
 def human_vec(v) -> str:

@@ -31,6 +31,9 @@ SEPARATOR_COLOR = "#444444"
 ARROW_LENGTH = Fraction(9, 10)
 HEAD_SIZE = 7.0
 HEAD_ANGLE = 0.45
+# names as XML character data, as xml.sax.saxutils.escape writes them;
+# importing that module loads urllib.request, about 6 MiB per process
+MARKUP = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 class _Projection:
@@ -197,13 +200,14 @@ def render_scene(sets, points=(), cone_fans=(), separator=None,
 
     for index, (name, s) in enumerate(named):
         color = PALETTE[index % len(PALETTE)]
+        label = name.translate(MARKUP)
         verts = _clip_to_viewport(s, hw)
         if verts:
-            body.extend(_polygon_elements(name, verts, color, proj))
+            body.extend(_polygon_elements(label, verts, color, proj))
         label_y = 30.0 + 14.0 * index
         body.append(f'<text x="20.0000" y="{_fmt(label_y)}" '
                     f'font-family="monospace" font-size="12" '
-                    f'fill="{color}">{name}</text>')
+                    f'fill="{color}">{label}</text>')
 
     if separator is not None:
         g, gamma = vec(separator[0]), frac(separator[1])
@@ -226,7 +230,7 @@ def render_scene(sets, points=(), cone_fans=(), separator=None,
                     f'fill="#000000"/>')
         body.append(f'<text x="{_fmt(x + 6.0)}" y="{_fmt(y - 6.0)}" '
                     f'font-family="monospace" font-size="11" '
-                    f'fill="#000000">{name}</text>')
+                    f'fill="#000000">{name.translate(MARKUP)}</text>')
 
     head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

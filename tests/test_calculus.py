@@ -548,6 +548,21 @@ def test_theorem_raises_on_a_split_that_does_not_attain(monkeypatch, pair, g):
         support_intersection_theorem(*pair, g)
 
 
+def test_theorem_raises_on_a_split_that_does_not_sum_to_the_functional(monkeypatch):
+    # the value and w1 are kept, so only the sum w1 + w2 = g is wrong;
+    # w2 is then the true split's w2 moved by e_1
+    real = calculus.inf_convolution_support
+
+    def moved(s1, s2, g):
+        out = real(s1, s2, g)
+        return InfConvolutionValue(out.kind, out.value, out.witness1,
+                                   vadd(out.witness2, unit_vec(s1.dim, 0)))
+
+    monkeypatch.setattr(calculus, "inf_convolution_support", moved)
+    with pytest.raises(InternalError, match="does not sum to the functional"):
+        support_intersection_theorem(unit_square(), box(F(1, 2), F(3, 2), 0, 1), (1, 1))
+
+
 def test_theorem_rejects_empty_input():
     empty = ConvexSet.from_hrep(2, ineqs=[((1, 0), 0), ((-1, 0), -1)])
     with pytest.raises(PreconditionError):

@@ -147,6 +147,18 @@ def test_oversized_json_number_exits_2(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["plain", "json"])
+def test_support_beyond_float_range_prints_the_exact_value(capsys, tmp_path, flags):
+    # 10^500/3 has no float approximation; the text view, which --json
+    # builds too, gives the exact value alone
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"sets": {"s": {"kind": "hrep", "dim": 1, '
+                   '"ineqs": [{"normal": ["3"], "rhs": "%s"}]}}}' % (10 ** 500))
+    code, out, _ = run(capsys, *flags, "support", str(doc), "s", "1")
+    assert code == 0
+    assert f"{10 ** 500}/3" in out
+
+
 def test_deeply_nested_document_exits_2(capsys, tmp_path):
     doc = tmp_path / "deep.json"
     doc.write_text("[" * 100000 + "]" * 100000)
@@ -290,6 +302,8 @@ def test_verify_suite_small_and_deterministic(capsys):
     ("--boundary-count", "-1", "bad boundary count -1"),
     ("--dims", "2,2", "repeated dimension in 2,2"),
     ("--parallel", "100000", f"100000 workers exceed the limit of {suite.MAX_WORKERS}"),
+    ("--parallel", "0", "bad worker count 0"),
+    ("--parallel", "-2", "bad worker count -2"),
     ("--seed-range", "1..100000000",
      f"200000051 tasks exceed the limit of {suite.MAX_TASKS}"),
     ("--lp-count", "100000000", f"1000211 tasks exceed the limit of {suite.MAX_TASKS}"),

@@ -182,9 +182,14 @@ def test_slice_counts_are_pinned(monkeypatch):
     phase one on its rows. While every caller built its own there were
     71 intersections and 54 such phase ones.
 
-    Every certificate is checked: 1,939 checks, 1,704 of them in the
+    Every certificate is checked: 1,938 checks, 1,703 of them in the
     solver and 235 in the LP sweep, so no change may skip or sample
-    them. They were 1,940 and 1,705 with the one membership solve the
+    them. They were 1,939 and 1,704 while the sweep repeated the
+    identity's comparisons and then asked support_intersection_theorem
+    at the first probe as well: the disjoint pair's probe-0
+    convolution, a cold combination_program with its check, was solved
+    twice, and the sweep now asks the theorem once per probe. They were
+    1,940 and 1,705 with the one membership solve the
     slack-basis start saved (above), and 2,109 and 1,874 while each infimal convolution
     solved a cold program of its own: the 357 convolutions of the 17
     slice pairs that meet (20 probes each in the sweep, one in
@@ -226,7 +231,7 @@ def test_slice_counts_are_pinned(monkeypatch):
     assert len(counts.reaches) == 105
     assert counts.make_cone == 91
     assert counts.memberships == 522
-    assert (counts.checks, counts.solver_checks) == (1939, 1704)
+    assert (counts.checks, counts.solver_checks) == (1938, 1703)
     assert counts.dd == 180
     assert len(counts.intersections) == 18
     assert all("lp_system" in s._memo for s in counts.intersections)

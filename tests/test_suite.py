@@ -161,8 +161,9 @@ def test_outcome_flags_violations():
 
 
 def test_sweep_reports_a_split_that_does_not_attain(monkeypatch):
-    # the sweep checks each finite convolution on the pair's own sets, so
-    # a split with the right sum and value that misses the value fails
+    # the sweep asks support_intersection_theorem at every probe, which
+    # checks each finite convolution on the pair's own sets, so a split
+    # with the right sum and value that misses the value is reported
     real = calculus.inf_convolution_support
 
     def shifted(s1, s2, g):
@@ -174,7 +175,7 @@ def test_sweep_reports_a_split_that_does_not_attain(monkeypatch):
         w2 = tuple(x - y for x, y in zip(out.witness2, e))
         return calculus.InfConvolutionValue(out.kind, out.value, w1, w2)
 
-    monkeypatch.setattr(suite, "inf_convolution_support", shifted)
+    monkeypatch.setattr(calculus, "inf_convolution_support", shifted)
     record = suite._run_task(("fixture", "boxes-overlap"))
-    assert ("support-infconv-identity", "fixture boxes-overlap: convolution infimum is not "
-            "attained") in record["violations"]
+    assert ("support-infconv-identity", "fixture boxes-overlap: the convolution's witnesses "
+            "do not attain its value") in record["violations"]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 
@@ -99,6 +100,14 @@ def test_points_are_labeled():
                        points=[("corner", (1, 1))])
     assert ">corner</text>" in svg
     assert '<circle cx="316.0000" cy="196.0000" r="3.0000"' in svg
+
+
+def test_names_with_markup_characters_parse_back():
+    svg = render_scene([("a<b&c", unit_square())], points=[("<o>", (1, 1))])
+    root = ElementTree.fromstring(svg.encode("utf-8"))
+    ns = "{http://www.w3.org/2000/svg}"
+    assert [t.text for t in root.iter(ns + "title")] == ["a<b&c"]
+    assert [t.text for t in root.iter(ns + "text")] == ["a<b&c", "<o>"]
 
 
 def test_rejects_non_planar_sets():
