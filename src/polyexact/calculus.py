@@ -10,10 +10,14 @@ intersection against the infimal convolution of the individual
 supports, with witnesses that attain the convolution exactly.
 
 Every verdict is an exact rational computation: interiority claims are
-certified by corner decompositions of a small cube. The infimal
-convolution is the LP dual of the intersection's support program, so
-it is read off that program's checked duals, and its witnesses are
-checked by attainment on each set's own prepared system. How far
+certified by corner decompositions of a small cube. For polyhedra the
+normal-cone rule and the support identity are both LP duality on the
+support program of A & B, solved once per functional and kept whole
+(_support_outcome; Rockafellar 1970, Theorem 16.4 and Corollary
+23.8.1). Its checked duals give the infimal convolution and the split
+of a probe across the two normal cones, and certificates built from
+the same outcome, checked against each set's own rows, prove the
+split attained, so the rule and the identity share one solve. How far
 the difference reaches along a direction d is min(1, 1/gamma(d)), where
 gamma is the gauge of A - B: the largest z.d over the polar, the z with
 sigma_A(z) + sigma_B(-z) <= 1 (Rockafellar 1970, sections 14-15). That
@@ -29,7 +33,7 @@ windowed witness, and it is checked against the rows of both sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain
@@ -38,7 +42,6 @@ from operator import mul
 from .cones import (
     PolyhedralCone,
     cone_sum,
-    cone_sum_decompose,
     cones_equal,
     normal_cone,
 )
@@ -48,6 +51,7 @@ from .linalg import (
     ZERO,
     Vec,
     combine,
+    dot,
     linf_norm,
     over_one_denominator,
     unit_vec,
@@ -66,8 +70,10 @@ from .lp import (
     LpOptimal,
     LpUnbounded,
     PreparedSystem,
+    _slacks,
     combination_program,
     solve_lp,
+    verify_certificate,
 )
 from .oracle import Lcg
 from .sets import ConvexSet, check_same_dim
@@ -323,9 +329,10 @@ def _check_window_pair(s1: ConvexSet, s2: ConvexSet, x: Vec, c: Vec, delta: Frac
 class ProbeDecomposition:
     """Split of one probe functional across the two normal cones.
 
-    in_lhs records membership in the intersection's cone; the parts are
-    present when the probe also splits across the sum, and they then
-    satisfy part1 + part2 = probe with each part in its cone."""
+    in_lhs records membership in the intersection's cone. The parts are
+    present exactly when it holds (for polyhedra the rule needs no
+    qualification), and then part1 + part2 = probe with each part in its
+    set's normal cone."""
 
     probe: Vec
     in_lhs: bool
@@ -348,26 +355,39 @@ def intersection_rule(s1: ConvexSet, s2: ConvexSet, xbar, probes=None) -> Inters
 
     The left side comes from the rows of the intersection active at the
     point, the right side from summing the two cones computed
-    separately. Every probe functional that lies in the left cone is
-    split across the summands when possible."""
+    separately. A probe p is in the left cone iff xbar maximizes p over
+    the intersection: iff the kept outcome of its support program at p
+    (_support_outcome) is optimal with p.xbar = -value; otherwise its
+    checked point or ray does better than xbar. An inside probe splits
+    as w1 = _first_part and w2 = p - w1. As xbar is optimal too,
+    complementary slackness puts every nonzero multiplier on a row tight
+    at xbar, which puts w1 and w2 in the two normal cones; that is
+    checked in integers, and a multiplier on a slack row raises
+    InternalError."""
     x = _common_member(s1, s2, xbar)
+    joint = s1.intersect(s2)
     n1 = normal_cone(s1, x)
     n2 = normal_cone(s2, x)
-    lhs = normal_cone(s1.intersect(s2), x)
+    lhs = normal_cone(joint, x)
     # a summand equal to the left cone lends it its membership answers
     lhs = n1 if lhs == n1 else n2 if lhs == n2 else lhs
     rhs = cone_sum(n1, n2)
     if probes is None:
         probes = standard_probes(s1.dim)
+    slacks = tuple(_slacks(joint.integer_rows(), *over_one_denominator(x)))
     decs = []
     for raw in probes:
         p = vec(raw)
-        if lhs.contains(p):
-            split = cone_sum_decompose(n1, n2, p)
-            part1, part2 = split if split is not None else (None, None)
-            decs.append(ProbeDecomposition(p, True, part1, part2))
-        else:
+        if len(p) != len(x):
+            raise InputError("probe dimension does not match the sets")
+        out = _support_outcome(joint, p)
+        if not (isinstance(out, LpOptimal) and dot(p, x) == -out.value):
             decs.append(ProbeDecomposition(p, False, None, None))
+            continue
+        if any(y and s for y, s in zip(out.dual_ineq, slacks)):
+            raise InternalError("a probe's split puts a multiplier on a row slack at the point")
+        part1 = _first_part(s1, out)
+        decs.append(ProbeDecomposition(p, True, part1, vsub(p, part1)))
     return IntersectionRuleResult(lhs, rhs, cones_equal(lhs, rhs), tuple(decs))
 
 
@@ -477,21 +497,49 @@ def inf_convolution_support(s1: ConvexSet, s2: ConvexSet, xstar) -> InfConvoluti
     out = _support_outcome(joint, g)
     if isinstance(out, LpUnbounded):
         return InfConvolutionValue("plus-infinity", None, None, None)
-    h1 = s1.hrep()
-    m1, e1 = len(h1.ineqs), len(h1.eqs)
-    weights = out.dual_ineq[:m1] + tuple(-z for z in out.dual_eq[:e1])
-    w1 = combine(weights, [a for a, _ in h1.ineqs + h1.eqs], s1.dim)
+    w1 = _first_part(s1, out)
     return InfConvolutionValue("finite", -out.value, w1, vsub(g, w1))
 
 
-def _attains(s1: ConvexSet, s2: ConvexSet, conv: InfConvolutionValue) -> bool:
-    """Whether the witnesses of a finite convolution attain its value,
-    sigma_s1(w1) + sigma_s2(w2) = value, each support solved on its own
-    set's prepared system. With w1 + w2 = g that proves the value is
-    the convolution, which is never below the intersection's support."""
-    sv1 = support_value(s1, conv.witness1)
-    sv2 = support_value(s2, conv.witness2)
-    return sv1.finite and sv2.finite and sv1.value + sv2.value == conv.value
+def _dual_blocks(s1: ConvexSet, out: LpOptimal):
+    """((y1, z1), (y2, z2)): the multipliers of an optimal outcome of the
+    support program of s1.intersect(s2) on s1's rows and on s2's, which
+    intersect stacks after s1's."""
+    h1 = s1.hrep()
+    m1, e1 = len(h1.ineqs), len(h1.eqs)
+    return ((out.dual_ineq[:m1], out.dual_eq[:e1]),
+            (out.dual_ineq[m1:], out.dual_eq[e1:]))
+
+
+def _first_part(s1: ConvexSet, out: LpOptimal) -> Vec:
+    """w1 = sum y_k a_k - sum z_k e_k over s1's rows (_dual_blocks); by
+    the certificate's reduced-cost equation g - w1 is the same
+    combination of s2's rows."""
+    (y, z), _ = _dual_blocks(s1, out)
+    h1 = s1.hrep()
+    return combine(y + tuple(-v for v in z), [a for a, _ in h1.ineqs + h1.eqs], s1.dim)
+
+
+def _attains(s1: ConvexSet, s2: ConvexSet, g: Vec, conv: InfConvolutionValue) -> bool:
+    """Whether the witnesses of a finite convolution at g attain its
+    value, sigma_s1(w1) + sigma_s2(w2) = value, with no LP solved: the
+    point x* of the kept support outcome of the intersection at g and
+    set i's block (y_i, z_i) of its duals are an optimal certificate
+    (x*, -w_i.x*, y_i, z_i) of min -w_i.x over set i's own rows, which
+    verify_certificate checks, proving sigma_i(w_i) = w_i.x*. With
+    w1 + w2 = g that proves the value is the convolution, which is
+    never below the intersection's support."""
+    out = _support_outcome(s1.intersect(s2), g)
+    if not isinstance(out, LpOptimal):
+        return False
+    total = ZERO
+    for s, w, (y, z) in zip((s1, s2), (conv.witness1, conv.witness2), _dual_blocks(s1, out)):
+        value = dot(w, out.point)
+        program = replace(s.lp_system().lp, objective=vneg(w))
+        if not verify_certificate(program, LpOptimal(out.point, -value, y, z), s.integer_rows()):
+            return False
+        total += value
+    return total == conv.value
 
 
 @dataclass(frozen=True)
@@ -523,10 +571,11 @@ def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> Support
     The convolution is read off the intersection's support program
     (inf_convolution_support), so the sides are not compared as two
     programs: a finite convolution's split must sum to the functional
-    and attain its value on each set's own prepared system (_attains),
-    or InternalError is raised rather than a false verdict reported.
-    Under the checked hypotheses the identity is asserted as well, and
-    attained is then reported; the inequality is always asserted."""
+    and attain its value, proved by a certificate per set checked
+    against that set's own rows (_attains), or InternalError is raised
+    rather than a false verdict reported. Under the checked hypotheses
+    the identity is asserted as well, and attained is then reported; the
+    inequality is always asserted."""
     check_same_dim(s1, s2)
     g = vec(xstar)
     if len(g) != s1.dim:
@@ -549,7 +598,7 @@ def support_intersection_theorem(s1: ConvexSet, s2: ConvexSet, xstar) -> Support
         inequality = KIND_ORDER[lhs_kind] <= KIND_ORDER[rhs.kind]
     if rhs.kind == "finite" and vadd(rhs.witness1, rhs.witness2) != g:
         raise InternalError("the convolution's split does not sum to the functional")
-    if rhs.kind == "finite" and not _attains(s1, s2, rhs):
+    if rhs.kind == "finite" and not _attains(s1, s2, g, rhs):
         raise InternalError("the convolution's witnesses do not attain its value")
     if not inequality:
         raise InternalError("one-sided support inequality failed")

@@ -21,11 +21,9 @@ from operator import mul
 
 from . import dd
 from .errors import InternalError, PreconditionError
-from .lp import (FREE, NONNEG, LpInfeasible, LpOptimal, PreparedSystem, combination_program,
-                 make_program, solve_lp)
+from .lp import LpInfeasible, LpOptimal, PreparedSystem, make_program
 from .linalg import (
     Vec,
-    combine,
     integerize,
     is_zero_vec,
     lead_normalized,
@@ -33,7 +31,6 @@ from .linalg import (
     rref,
     vec,
     vneg,
-    vsub,
     zero_vec,
 )
 from .sets import ConvexSet
@@ -172,22 +169,6 @@ def cones_equal(a: PolyhedralCone, b: PolyhedralCone) -> bool:
     """Equality as sets, which for canonical cones is equality of
     their fields."""
     return a == b
-
-
-def cone_sum_decompose(a: PolyhedralCone, b: PolyhedralCone, x) -> tuple[Vec, Vec] | None:
-    """Split x into a member of each cone, or None when x is outside
-    the sum. The split certifies membership in cone_sum(a, b)."""
-    _same_dim(a, b)
-    x = vec(x)
-    cols = a.generators + a.lineality + b.generators + b.lineality
-    signs = ([NONNEG] * len(a.generators) + [FREE] * len(a.lineality)
-             + [NONNEG] * len(b.generators) + [FREE] * len(b.lineality))
-    out = solve_lp(combination_program(cols, x, signs))
-    if not isinstance(out, LpOptimal):
-        return None
-    na = len(a.generators) + len(a.lineality)
-    ya = combine(out.point[:na], cols[:na], a.dim)
-    return ya, vsub(x, ya)
 
 
 def normal_cone(s: ConvexSet, x) -> PolyhedralCone:

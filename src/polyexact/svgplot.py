@@ -8,12 +8,16 @@ fixed scene the emitted bytes are identical on every run.
 
 Unbounded sets appear as their viewport clip; the artificial edges that
 lie on the box boundary are drawn dashed to mark where the set keeps
-going.
+going. A point, or the base of a cone fan, outside the viewport is left
+out, decided in rationals, so no coordinate beyond the canvas ever
+reaches a float. Set and point names are written as XML character data;
+a name holding a character that XML 1.0 cannot represent is refused.
 """
 from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -34,6 +38,8 @@ HEAD_ANGLE = 0.45
 # names as XML character data, as xml.sax.saxutils.escape writes them;
 # importing that module loads urllib.request, about 6 MiB per process
 MARKUP = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+# a character outside the Char production of XML 1.0
+NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class _Projection:
@@ -47,6 +53,15 @@ class _Projection:
         x = PAD + (frac(p[0]) + self.half_width) * self.scale
         y = PAD + (self.half_width - frac(p[1])) * self.scale
         return float(x), float(y)
+
+
+def _char_data(kind: str, name: str) -> str:
+    """name as XML character data, or InputError when it holds a
+    character that XML 1.0 cannot represent, escaped or not."""
+    bad = NOT_XML_CHAR.search(name)
+    if bad:
+        raise InputError(f"{kind} name {name!r} holds {bad.group()!r}, which an SVG cannot hold")
+    return name.translate(MARKUP)
 
 
 def _fmt(value: float) -> str:
@@ -171,11 +186,13 @@ def render_scene(sets, points=(), cone_fans=(), separator=None,
     """Compose the SVG document for one planar scene.
 
     sets: iterable of (name, ConvexSet) drawn in palette order.
-    points: iterable of (name, point) drawn as labeled dots.
+    points: iterable of (name, point) drawn as labeled dots, those
+        outside the viewport left out.
     cone_fans: iterable of (base_point, directions, set_index) where the
         directions are drawn as arrows from the base in the color of the
-        indexed set.
+        indexed set, a fan whose base is outside the viewport left out.
     separator: optional (functional, level) drawn as a dashed line.
+    A set or point name that XML cannot hold raises InputError.
     """
     hw = frac(half_width)
     if hw <= 0:
@@ -200,7 +217,7 @@ def render_scene(sets, points=(), cone_fans=(), separator=None,
 
     for index, (name, s) in enumerate(named):
         color = PALETTE[index % len(PALETTE)]
-        label = name.translate(MARKUP)
+        label = _char_data("set", name)
         verts = _clip_to_viewport(s, hw)
         if verts:
             body.extend(_polygon_elements(label, verts, color, proj))
@@ -220,17 +237,24 @@ def render_scene(sets, points=(), cone_fans=(), separator=None,
                         f'stroke-dasharray="7 5"/>')
 
     for base, directions, set_index in cone_fans:
+        base = vec(base)
+        if linf_norm(base) > hw:
+            continue
         color = PALETTE[set_index % len(PALETTE)]
         for direction in directions:
-            body.extend(_arrow_elements(vec(base), vec(direction), color, proj))
+            body.extend(_arrow_elements(base, vec(direction), color, proj))
 
     for name, p in points:
+        label = _char_data("point", name)
+        p = vec(p)
+        if linf_norm(p) > hw:
+            continue
         x, y = proj.to_pixels(p)
         body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.0000" '
                     f'fill="#000000"/>')
         body.append(f'<text x="{_fmt(x + 6.0)}" y="{_fmt(y - 6.0)}" '
                     f'font-family="monospace" font-size="11" '
-                    f'fill="#000000">{name.translate(MARKUP)}</text>')
+                    f'fill="#000000">{label}</text>')
 
     head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -14,14 +14,19 @@ row blocks and moved to its feasible point (xbar, xbar, |a|, 0, 0)
 hand-indexed builder it replaced, unmoved. The infimal convolution is now
 read off the intersection's support program;
 reference_convolution is the cold program over the multipliers of both
-sets' rows that it replaced.
+sets' rows that it replaced. The normal-cone rule now splits a probe by
+the duals of that same support program; reference_split is the cold
+program over the generators of both cones that it replaced, and
+reference_attains the two support solves that checked a convolution's
+witnesses before they were checked as certificates on each set's rows.
 """
 from fractions import Fraction
 
 from polyexact.errors import InternalError
-from polyexact.linalg import ONE, ZERO, l1_norm, zero_vec
-from polyexact.lp import (FREE, NONNEG, LpInfeasible, LpOptimal, LpUnbounded, make_program,
-                          solve_lp)
+from polyexact.calculus import support_value
+from polyexact.linalg import ONE, ZERO, combine, l1_norm, vec, vsub, zero_vec
+from polyexact.lp import (FREE, NONNEG, LpInfeasible, LpOptimal, LpUnbounded,
+                          combination_program, make_program, solve_lp)
 
 
 def reference_meets_interior(s1, s2) -> bool:
@@ -77,6 +82,31 @@ def reference_convolution(s1, s2, g):
     if isinstance(out, LpUnbounded):
         return "minus-infinity", None
     return "finite", out.value
+
+
+def reference_split(a, b, x):
+    """(part in a, part in b) summing to x, or None when x is outside
+    cone_sum(a, b), by one cold program over one weight per generator
+    and lineality vector of both cones."""
+    x = vec(x)
+    cols = a.generators + a.lineality + b.generators + b.lineality
+    signs = ([NONNEG] * len(a.generators) + [FREE] * len(a.lineality)
+             + [NONNEG] * len(b.generators) + [FREE] * len(b.lineality))
+    out = solve_lp(combination_program(cols, x, signs))
+    if not isinstance(out, LpOptimal):
+        return None
+    na = len(a.generators) + len(a.lineality)
+    ya = combine(out.point[:na], cols[:na], a.dim)
+    return ya, vsub(x, ya)
+
+
+def reference_attains(s1, s2, conv) -> bool:
+    """Whether a finite convolution's witnesses attain its value,
+    sigma_s1(w1) + sigma_s2(w2) = value, each support solved on its own
+    set."""
+    sv1 = support_value(s1, conv.witness1)
+    sv2 = support_value(s2, conv.witness2)
+    return sv1.finite and sv2.finite and sv1.value + sv2.value == conv.value
 
 
 def reference_gap_program(h1, h2, xbar, a, eps):

@@ -1,4 +1,5 @@
 """Qualification conditions, the normal-cone rule, and support identities."""
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -347,6 +348,21 @@ def test_rule_probe_splits_random():
                     assert n1.contains(d.part1) and n2.contains(d.part2)
                 else:
                     assert d.part1 is None and d.part2 is None
+
+
+def test_rule_raises_on_a_multiplier_on_a_slack_row(monkeypatch):
+    # the split is read off the duals of the intersection's support
+    # program; a multiplier moved onto the first square's row x <= 1,
+    # slack at the origin, would put a part outside its normal cone
+    real = calculus._support_outcome
+
+    def moved(s, g):
+        out = real(s, g)
+        return replace(out, dual_ineq=(out.dual_ineq[0] + 1,) + out.dual_ineq[1:])
+
+    monkeypatch.setattr(calculus, "_support_outcome", moved)
+    with pytest.raises(InternalError, match="slack at the point"):
+        intersection_rule(unit_square(), unit_square(), (0, 0), probes=[(-1, -1)])
 
 
 def test_rule_sum_inside_intersection_cone_random():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from itertools import permutations
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -348,6 +349,40 @@ def test_plot_unwritable_out_exits_2(tmp_path, capsys, flags):
         assert json.loads(out)["result"]["error"]["kind"] == "input"
     else:
         assert out == ""
+
+
+def _halfplanes_with(tmp_path, edit):
+    """The halfplanes fixture, edited, as a document in tmp_path."""
+    doc = json.loads((Path(suite.__file__).parent / "fixtures" / "halfplanes.json").read_text())
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_plot_leaves_out_a_point_far_outside_the_viewport(tmp_path, capsys):
+    # (10^400, 0) lies in both half-planes; its cone fans and its dot are
+    # left out instead of overflowing a float
+    doc = _halfplanes_with(tmp_path, lambda d: d["points"].update(far=["1" + "0" * 400, "0"]))
+    target = tmp_path / "far.svg"
+    code, out, err = run(capsys, "plot", doc, "lower", "upper", "--cones-at", "far",
+                         "--out", str(target))
+    assert (code, err) == (0, "")
+    assert "normal cone of lower" in out
+    ElementTree.parse(target)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_plot_refuses_a_name_xml_cannot_hold(tmp_path, capsys, flags):
+    doc = _halfplanes_with(tmp_path, lambda d: d["sets"].update({"a\u0001b": d["sets"]["lower"]}))
+    target = tmp_path / "scene.svg"
+    code, out, err = run(capsys, *flags, "plot", doc, "a\u0001b", "upper", "--out", str(target))
+    assert code == 2
+    assert err == "error: set name 'a\\x01b' holds '\\x01', which an SVG cannot hold\n"
+    assert not target.exists()
+    # the other commands read the name as any other
+    code, _, _ = run(capsys, "support", doc, "a\u0001b", "0,-1")
+    assert code == 0
 
 
 def test_plot_rejects_non_planar(tmp_path, capsys):

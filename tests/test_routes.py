@@ -2,8 +2,9 @@
 replaced (route_reference): whether a set meets the interior of another,
 whether a set has interior points none of which lies in another, a
 common point of two sets, the program of generator membership, the
-penalized gap program of the approximate principle and the infimal
-convolution of two support functions.
+penalized gap program of the approximate principle, the infimal
+convolution of two support functions, the split of a probe across two
+normal cones and the attainment check of a convolution's witnesses.
 
 The corpus is the pairs of a small default-shaped suite run, in both
 orders, which includes the fixture pairs, together with a flat second
@@ -17,26 +18,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyexact import sets as sets_module
-from polyexact import extremality, suite
+from polyexact import calculus, extremality, suite
 from polyexact.calculus import (
+    InfConvolutionValue,
     common_point,
     inf_convolution_support,
+    intersection_rule,
     meets_interior,
     standard_probes,
     support_value,
 )
+from polyexact.cones import normal_cone
 from polyexact.errors import PreconditionError
 from polyexact.extremality import EPSILON_GRID, check_sufficient_interiority
-from polyexact.linalg import dot, linf_norm, unit_vec, vadd, vec, vscale, zero_vec
+from polyexact.linalg import combine, dot, linf_norm, unit_vec, vadd, vec, vscale, vsub, zero_vec
 from polyexact.lp import LinearProgram, LpOptimal, solve_lp
 from polyexact.oracle import random_pair_with_common_point
 from polyexact.sets import ConvexSet, HRep
 from route_reference import (
+    reference_attains,
     reference_common_point,
     reference_convolution,
     reference_gap_program,
     reference_generator_program,
     reference_meets_interior,
+    reference_split,
 )
 
 SUITE = dict(dims=(2, 3, 4), seed_range=(1, 8), lp_count=10, boundary_count=20)
@@ -265,3 +271,92 @@ def test_convolution_matches_cold_program_on_random_pairs(pair, swap, data):
         s1, s2 = s2, s1
     g = tuple(data.draw(st.fractions(-3, 3, max_denominator=3)) for _ in range(s1.dim))
     _assert_convolution_matches(s1, s2, g)
+
+
+def _assert_rule_matches(s1, s2, x, probes) -> list[bool]:
+    """Each probe of intersection_rule at x is in the left cone exactly
+    when the left cone's own membership program and the cold split over
+    both cones' generators say so, and an inside probe's parts lie in
+    the two normal cones and sum to it. Returns the in/out answers."""
+    rule = intersection_rule(s1, s2, x, probes=probes)
+    n1, n2 = normal_cone(s1, x), normal_cone(s2, x)
+    for dec in rule.decompositions:
+        assert dec.in_lhs == rule.lhs.contains(dec.probe), (s1, s2, x, dec)
+        assert (reference_split(n1, n2, dec.probe) is not None) == dec.in_lhs, (s1, s2, x, dec)
+        if dec.in_lhs:
+            assert vadd(dec.part1, dec.part2) == dec.probe
+            assert n1.contains(dec.part1) and n2.contains(dec.part2), (s1, s2, x, dec)
+        else:
+            assert dec.part1 is None and dec.part2 is None
+    return [dec.in_lhs for dec in rule.decompositions]
+
+
+def test_rule_split_matches_cold_split(corpus):
+    """The suite's pairs at their anchors in both orders, and every pair
+    of the corpus that meets, flat ones and those with equality rows
+    included, at its common point; at every standard probe and zero."""
+    tasks = [suite._task_instance(t) for t in suite.build_tasks(**SUITE)
+             if t[0] in ("pair", "fixture")]
+    anchored = [(a, b, x) for _, a, b, x in tasks if x is not None]
+    anchored += [(b, a, x) for a, b, x in anchored]
+    anchored += [(a, b, x) for a, b in corpus if (x := common_point(a, b)) is not None]
+    answers = []
+    for s1, s2, x in anchored:
+        probes = standard_probes(s1.dim) + (zero_vec(s1.dim),)
+        answers += _assert_rule_matches(s1, s2, x, probes)
+    assert 100 < sum(answers) < len(answers) - 100
+
+
+@PROPERTY
+@given(st.data())
+def test_rule_split_matches_cold_split_on_random_pairs(data):
+    """Random pairs in dims 2-3 in both orders at their common point,
+    each set made flat half the time by an equality row through it, at
+    a random rational probe, a random combination of both cones'
+    generators (inside) and its negation."""
+    dim = data.draw(st.integers(2, 3))
+    s1, s2, anchor = random_pair_with_common_point(data.draw(st.integers(1, 60)), dim)
+    if data.draw(st.booleans()):
+        s1, s2 = s2, s1
+
+    def flattened(s):
+        h = s.hrep()
+        if not data.draw(st.booleans()):
+            return s
+        a, _ = data.draw(st.sampled_from(h.ineqs))
+        return ConvexSet(HRep(dim, h.ineqs, ((a, dot(a, anchor)),)))
+
+    s1, s2 = flattened(s1), flattened(s2)
+    gens = (normal_cone(s1, anchor).sample_directions()
+            + normal_cone(s2, anchor).sample_directions())
+    weights = [data.draw(st.fractions(0, 2, max_denominator=3)) for _ in gens]
+    inside = combine(weights, gens, dim)
+    probe = tuple(data.draw(st.fractions(-3, 3, max_denominator=3)) for _ in range(dim))
+    answers = _assert_rule_matches(s1, s2, anchor, [probe, inside, tuple(-t for t in inside)])
+    assert answers[1]
+
+
+def test_attainment_matches_two_solve_route(corpus):
+    """At every standard probe of every pair of the corpus that meets,
+    the witnesses of a finite convolution are attained by the checked
+    certificates read off the intersection's support outcome, as the
+    two support solves on each set find. A split moved by 2 e_1 keeps
+    its sum and value, and is refused: no certificate of the outcome
+    proves it. The two-solve route refuses most such splits too, and
+    accepts one only where the moved split is another optimal one."""
+    finite = refuted = 0
+    for s1, s2 in corpus:
+        if s1.is_empty() or s2.is_empty() or common_point(s1, s2) is None:
+            continue
+        e = vscale(2, unit_vec(s1.dim, 0))
+        for g in standard_probes(s1.dim):
+            conv = inf_convolution_support(s1, s2, g)
+            if conv.kind != "finite":
+                continue
+            finite += 1
+            assert calculus._attains(s1, s2, g, conv) == reference_attains(s1, s2, conv) is True
+            moved = InfConvolutionValue("finite", conv.value, vadd(conv.witness1, e),
+                                        vsub(conv.witness2, e))
+            assert not calculus._attains(s1, s2, g, moved)
+            refuted += not reference_attains(s1, s2, moved)
+    assert finite > 500 and refuted > finite // 2

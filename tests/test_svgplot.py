@@ -110,6 +110,38 @@ def test_names_with_markup_characters_parse_back():
     assert [t.text for t in root.iter(ns + "text")] == ["a<b&c", "<o>"]
 
 
+@pytest.mark.parametrize("name", ["a\u0001b", "x\ud800", "\ufffe"],
+                         ids=["control", "surrogate", "non-character"])
+@pytest.mark.parametrize("kind", ["set", "point"])
+def test_names_xml_cannot_hold_are_refused(name, kind):
+    # escaping covers &, < and >; a character outside XML 1.0's Char
+    # production has no spelling in the file at all
+    scene = {"set": dict(sets=[(name, unit_square())]),
+             "point": dict(sets=[("square", unit_square())], points=[(name, (1, 1))])}[kind]
+    with pytest.raises(InputError, match=f"{kind} name"):
+        render_scene(**scene)
+
+
+def test_names_at_the_edges_of_xml_chars_parse_back():
+    names = ["tab\tnew\nline", "\ud7ff\ue000\ufffd", "\U0001f600\U0010ffff"]
+    svg = render_scene([(n, unit_square()) for n in names])
+    root = ElementTree.fromstring(svg.encode("utf-8"))
+    ns = "{http://www.w3.org/2000/svg}"
+    assert [t.text for t in root.iter(ns + "text")] == names
+
+
+def test_points_and_fans_outside_the_viewport_are_left_out():
+    # (10^400, 0) has no float; it is dropped before any conversion, and
+    # the point just inside the edge is drawn
+    far = (10 ** 400, 0)
+    svg = render_scene([("square", unit_square())],
+                       points=[("far", far), ("edge", (4, 0))],
+                       cone_fans=[(far, [(1, 0)], 0)])
+    ElementTree.fromstring(svg.encode("utf-8"))
+    assert ">far<" not in svg and ">edge</text>" in svg
+    assert svg == render_scene([("square", unit_square())], points=[("edge", (4, 0))])
+
+
 def test_rejects_non_planar_sets():
     cube = ball_inf((0, 0, 0), 1)
     with pytest.raises(InputError):
